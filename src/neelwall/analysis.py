@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -16,6 +17,7 @@ from .minimize import SolveOptions, SolveResult, find_crossing, minimize
 
 DEFAULT_HALF_LENGTH = 40.0
 DEFAULT_N_POINTS = 4096
+SYMMETRY_TOL_FACTOR = 10.0  # symmetry defect allowed, in units of tol
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,8 @@ class VerificationReport:
 
     Flags are consistent with their stored margins: monotone_strict is true
     iff monotone_margin > 0, range_ok iff every interior value lies strictly
-    between the plateau angles.
+    between the plateau angles, symmetry_ok iff symmetry_defect <= 10 tol and
+    residual_ok iff residual_sup <= tol, for the tol given to verify.
     """
 
     monotone_strict: bool
@@ -35,6 +38,8 @@ class VerificationReport:
     residual_sup: float
     decay: Optional[DecayReport]
     energy: EnergyBreakdown
+    symmetry_ok: bool
+    residual_ok: bool
 
 
 def verify(result: SolveResult, tol: float = 1e-6) -> VerificationReport:
@@ -76,6 +81,8 @@ def verify(result: SolveResult, tol: float = 1e-6) -> VerificationReport:
         residual_sup=result.residual_sup,
         decay=decay,
         energy=result.energy,
+        symmetry_ok=symmetry_defect <= SYMMETRY_TOL_FACTOR * tol,
+        residual_ok=result.residual_sup <= tol,
     )
 
 
@@ -131,7 +138,8 @@ def solve_cell(nu: float, h: float, opts: Optional[SolveOptions] = None,
     params = ModelParams(nu, h)
     result = minimize(reference_profile(grid, params), opts)
     if result.converged:
-        result.tail_amplitude = decay_amplitude(result.profile).amplitude_tailfit
+        result.decay = decay_amplitude(result.profile)
+        result.tail_amplitude = result.decay.amplitude_tailfit
     return result
 
 
@@ -140,7 +148,7 @@ def _row_for(nu: float, h: float, opts: SolveOptions,
     try:
         result = solve_cell(nu, h, opts, half_length, n_points)
         if result.converged:
-            report = decay_amplitude(result.profile)
+            report = result.decay
             return SweepRow(
                 nu=nu, h=h,
                 energy_total=result.energy.total,
@@ -160,6 +168,13 @@ def _row_for(nu: float, h: float, opts: SolveOptions,
                         residual_sup=math.nan, converged=False)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def sweep(nu_values: Sequence[float], h_values: Sequence[float],
           opts: Optional[SolveOptions] = None,
           half_length: float = DEFAULT_HALF_LENGTH,
@@ -167,8 +182,9 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
           parallel: bool = True) -> SweepTable:
     """Solve every (nu, h) cell independently.
 
-    Cells run concurrently when `parallel` is set; the solves are pure, so
-    serial and concurrent sweeps produce identical tables.  Per-cell failures
+    Cells run concurrently, on at most one thread per CPU this process may
+    use, when `parallel` is set; the solves are pure, so serial and
+    concurrent sweeps produce identical tables.  Per-cell failures
     are recorded in their row and never abort the sweep.
     """
     for nu in nu_values:
@@ -182,7 +198,7 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
     if not cells:
         return SweepTable(rows=[])
     if parallel and len(cells) > 1:
-        with ThreadPoolExecutor() as pool:
+        with ThreadPoolExecutor(max_workers=min(len(cells), _usable_cpus())) as pool:
             rows = list(pool.map(
                 lambda c: _row_for(c[0], c[1], opts, half_length, n_points),
                 cells))

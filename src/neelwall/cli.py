@@ -146,9 +146,9 @@ def _cmd_verify(args) -> int:
     report = verify(result, tol=args.tol)
     checks = {
         "monotone_strict": report.monotone_strict,
-        "symmetry_defect <= 10*tol": report.symmetry_defect <= 10 * args.tol,
+        "symmetry_defect <= 10*tol": report.symmetry_ok,
         "range_ok": report.range_ok,
-        "residual_sup <= tol": report.residual_sup <= args.tol,
+        "residual_sup <= tol": report.residual_ok,
         "decay amplitude positive": report.decay is not None
                                     and report.decay.amplitude_multipole > 0
                                     and report.decay.amplitude_tailfit > 0,

@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fractional import FieldSamples, half_laplacian_spectral_values, spectral_wavenumbers
+from .fractional import (
+    FieldSamples,
+    detrended_rfft,
+    grid_constants,
+    half_laplacian_spectral_values,
+)
 from .grid import Grid1D, ModelParams, Profile
 
 
@@ -39,23 +44,11 @@ class EnergyBreakdown:
     total: float
 
 
-def _trapezoid_weights(grid: Grid1D) -> np.ndarray:
-    w = np.full(grid.n_samples, grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _stray_quadratic_form(u: np.ndarray, grid: Grid1D) -> float:
     """s * <u, halfLap u> over one period of the detrended extension, >= 0."""
-    n = grid.n_points
-    trend = u[0] + (u[-1] - u[0]) * (np.arange(n + 1) / n)
-    uhat = np.fft.rfft((u - trend)[:-1])
-    k = spectral_wavenumbers(grid)
-    mult = np.full(k.size, 2.0)
-    mult[0] = 1.0
-    mult[-1] = 1.0
-    return float(grid.spacing / n * np.sum(mult * k * np.abs(uhat) ** 2))
+    kw = grid_constants(grid).weighted_wavenumbers
+    uhat = detrended_rfft(u, grid)
+    return float(grid.spacing / grid.n_points * np.sum(kw * np.abs(uhat) ** 2))
 
 
 def energy_parts(values: np.ndarray, grid: Grid1D, params: ModelParams):
@@ -64,7 +57,7 @@ def energy_parts(values: np.ndarray, grid: Grid1D, params: ModelParams):
     d = np.diff(values)
     exchange = 0.5 * float(np.sum(d * d)) / s
     u = np.sin(values) - params.h
-    anisotropy = 0.5 * float(np.sum(_trapezoid_weights(grid) * u * u))
+    anisotropy = 0.5 * float(np.sum(grid_constants(grid).trapezoid * u * u))
     stray = 0.25 * params.nu * _stray_quadratic_form(u, grid)
     return exchange, anisotropy, stray
 
@@ -87,7 +80,7 @@ def energy_delta(v: np.ndarray, v_new: np.ndarray, grid: Grid1D,
     magnitude below eps * E.
     """
     s = grid.spacing
-    n = grid.n_points
+    const = grid_constants(grid)
 
     a = np.diff(v)
     da = np.diff(v_new) - a
@@ -95,22 +88,14 @@ def energy_delta(v: np.ndarray, v_new: np.ndarray, grid: Grid1D,
 
     u = np.sin(v) - params.h
     du = 2.0 * np.cos(0.5 * (v_new + v)) * np.sin(0.5 * (v_new - v))
-    w = _trapezoid_weights(grid)
-    d_anisotropy = 0.5 * float(np.sum(w * du * (2.0 * u + du)))
+    d_anisotropy = 0.5 * float(np.sum(const.trapezoid * du * (2.0 * u + du)))
 
     # polarization: S(u + du) - S(u) = <P(2u + du), Lam P(du)>
-    def _detrended_rfft(f):
-        trend = f[0] + (f[-1] - f[0]) * (np.arange(n + 1) / n)
-        return np.fft.rfft((f - trend)[:-1])
-
-    k = spectral_wavenumbers(grid)
-    mult = np.full(k.size, 2.0)
-    mult[0] = 1.0
-    mult[-1] = 1.0
-    fa = _detrended_rfft(2.0 * u + du)
-    fb = _detrended_rfft(du)
+    fa = detrended_rfft(2.0 * u + du, grid)
+    fb = detrended_rfft(du, grid)
     d_stray = 0.25 * params.nu * float(
-        s / n * np.sum(mult * k * (fa * np.conj(fb)).real))
+        s / grid.n_points
+        * np.sum(const.weighted_wavenumbers * (fa * np.conj(fb)).real))
 
     return d_exchange + d_anisotropy + d_stray
 
@@ -167,50 +152,138 @@ def clamp_rotations(p: Profile) -> Profile:
     return p.with_values(clamp_values(p.values, p.params))
 
 
+def _folded_segments(v, grid, params):
+    """(seg_lo, seg_hi, seg_w, levels) of the folded deviation rho - theta_h.
+
+    One segment per grid cell, a cell crossing pi/2 split at the crossing
+    into two halves rising to pi/2 - theta_h; levels are the distinct
+    endpoint values with 0 and pi/2 - theta_h, descending.
+    """
+    rho = np.where(v <= np.pi / 2, v, np.pi - v)
+    dev = np.clip(rho - params.theta_h, 0.0, np.pi / 2 - params.theta_h)
+    dev_max = np.pi / 2 - params.theta_h
+    s = grid.spacing
+
+    a, b = dev[:-1], dev[1:]
+    va, vb = v[:-1], v[1:]
+    crossing = (va - np.pi / 2) * (vb - np.pi / 2) < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(crossing, (np.pi / 2 - va) / (vb - va), 1.0)
+    frac = np.clip(frac, 0.0, 1.0)
+
+    # plain segments, plus the two halves of every segment folded at pi/2
+    plain = ~crossing
+    seg_lo = np.concatenate([
+        np.minimum(a, b)[plain], a[crossing], b[crossing]])
+    seg_hi = np.concatenate([
+        np.maximum(a, b)[plain],
+        np.full(np.count_nonzero(crossing), dev_max),
+        np.full(np.count_nonzero(crossing), dev_max)])
+    seg_w = np.concatenate([
+        np.full(np.count_nonzero(plain), s),
+        s * frac[crossing], s * (1.0 - frac[crossing])])
+
+    levels = np.unique(np.concatenate([seg_lo, seg_hi, [0.0, dev_max]]))[::-1]
+    return seg_lo, seg_hi, seg_w, levels
+
+
 def _layer_widths(seg_lo, seg_hi, seg_w, levels):
     """Measure of {piecewise-linear function > t} at each breakpoint level.
 
-    levels must be sorted descending and contain every endpoint value.
-    Returns (mu_plus, mu_at): the limit from above and the value including
-    the jump contributed by flat segments sitting exactly at the level.
-    Between consecutive levels mu is linear, so (levels, mu_plus, mu_at) is
-    a complete description of the distribution function.
-    """
-    flat = seg_hi <= seg_lo
-    with np.errstate(divide="ignore"):
-        slopes = np.where(~flat, seg_w / (seg_hi - seg_lo), 0.0)
-    order_hi = np.argsort(seg_hi)[::-1]
-    order_lo = np.argsort(seg_lo)[::-1]
+    levels must be sorted descending and contain every endpoint value, and
+    seg_lo <= seg_hi.  Returns (mu_plus, mu_at): the limit from above and the
+    value including the jump contributed by flat segments sitting exactly at
+    the level.  Between consecutive levels mu is linear, so (levels, mu_plus,
+    mu_at) is a complete description of the distribution function.
 
-    mu_plus = np.zeros(levels.size)
-    mu_at = np.zeros(levels.size)
-    i_hi = i_lo = 0
-    active_slope = 0.0   # sum over straddling segments of w / (hi - lo)
-    anchor = 0.0         # sum over straddling segments of w * hi / (hi - lo)
-    done_width = 0.0     # total width of segments strictly below the level
-    for m, t in enumerate(levels):
-        jump = 0.0
-        while i_hi < order_hi.size and seg_hi[order_hi[i_hi]] >= t:
-            j = order_hi[i_hi]
-            if not flat[j]:
-                active_slope += slopes[j]
-                anchor += slopes[j] * seg_hi[j]
-            elif seg_lo[j] == t:
-                jump += seg_w[j]
-            else:
-                done_width += seg_w[j]  # flat strictly above t
-            i_hi += 1
-        while i_lo < order_lo.size and seg_lo[order_lo[i_lo]] >= t:
-            j = order_lo[i_lo]
-            if not flat[j]:
-                active_slope -= slopes[j]
-                anchor -= slopes[j] * seg_hi[j]
-                done_width += seg_w[j]
-            i_lo += 1
-        mu_plus[m] = done_width + (anchor - active_slope * t)
-        mu_at[m] = mu_plus[m] + jump
-        done_width += jump
-    return mu_plus, mu_at
+    mu_plus = done + (anchor - slope * t): slope and anchor sum w / (hi - lo)
+    and w hi / (hi - lo) over the segments straddling t, done the widths
+    below t.  Each is a cumulative sum over one event sequence sweeping down
+    the levels (per level: entries in descending argsort order of seg_hi,
+    exits likewise of seg_lo, then the flat segments' jump), so np.cumsum
+    rounds every sum exactly as a loop over that sweep would.
+    """
+    n = seg_lo.size
+    n_levels = levels.size
+    flat = seg_hi <= seg_lo
+    order_hi = np.argsort(seg_hi)[::-1].astype(np.int32)
+    order_lo = np.argsort(seg_lo)[::-1].astype(np.int32)
+    hi_sorted = seg_hi[order_hi[::-1]]   # ascending
+    lo_sorted = seg_lo[order_lo[::-1]]
+    rank = np.arange(1, n + 1, dtype=np.int32)   # after a leading zero
+    # an entry follows the exits at higher levels, an exit the entries at
+    # its level and above
+    pos_hi = _count_above(lo_sorted, hi_sorted[::-1], "right", rank)
+    pos_lo = _count_above(hi_sorted, lo_sorted[::-1], "left", rank)
+    read = _count_above(hi_sorted, levels, "left")
+    read += _count_above(lo_sorted, levels, "left")
+    del hi_sorted, lo_sorted
+    events = np.empty(2 * n + 1)
+    events[0] = 0.0
+
+    def running_sum(per_segment):
+        events[pos_hi] = per_segment[order_hi]
+        exits = per_segment[order_lo]
+        events[pos_lo] = np.negative(exits, out=exits)
+        del exits
+        return np.cumsum(events, out=events)[read]
+
+    slopes = seg_hi - seg_lo
+    np.divide(seg_w, slopes, out=slopes, where=~flat)
+    slopes[flat] = 0.0
+    slope_t = running_sum(slopes)
+    slope_t *= levels
+    slopes *= seg_hi
+    mu_plus = running_sum(slopes)
+    mu_plus -= slope_t   # anchor - slope * t
+    del events, slopes, pos_hi, pos_lo, read, slope_t
+
+    jump = np.zeros(n_levels)   # np.add.at adds in index order
+    flat_j = order_hi[flat[order_hi]]
+    np.add.at(jump, _count_above(levels[::-1], seg_hi[flat_j], "right"), seg_w[flat_j])
+    del flat_j, order_hi
+
+    # done: per level, the widths of the exiting segments, then the jump
+    lo_sorted = seg_lo[order_lo[::-1]]
+    done = np.empty(n + n_levels + 1)
+    done[0] = 0.0
+    widths = seg_w[order_lo]
+    widths[flat[order_lo]] = 0.0
+    done[_count_above(levels[::-1], lo_sorted[::-1], "right", rank)] = widths
+    del widths, order_lo, rank
+    jump_pos = _count_above(lo_sorted, levels, "left",
+                            np.arange(1, n_levels + 1, dtype=np.int32))
+    del lo_sorted
+    done[jump_pos] = jump
+    np.cumsum(done, out=done)
+    jump_pos -= 1
+    mu_plus += done[jump_pos]   # done + (anchor - slope * t)
+    return mu_plus, mu_plus + jump
+
+
+def _count_above(ascending, values, side, offset=None):
+    """int32 count of entries above (side="right") or at or above ("left")
+    each value, plus offset."""
+    out = np.searchsorted(ascending, values, side=side).astype(np.int32)
+    np.subtract(ascending.size, out, out=out)
+    if offset is not None:
+        out += offset
+    return out
+
+
+def _invert_widths(levels, mu_plus, mu_at, targets):
+    """Level whose super-level set has each target width; a target inside a
+    flat stretch's jump gets its level, one between levels is interpolated."""
+    idx = np.searchsorted(mu_at, targets, side="left")
+    i = np.clip(idx, 1, levels.size - 1)
+    m0, m1 = mu_at[i - 1], mu_plus[i]
+    t0, t1 = levels[i - 1], levels[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        between = t1 + (t0 - t1) * (m1 - targets) / (m1 - m0)
+    out = np.where((targets >= m1) | (m1 <= m0), t1, between)
+    out[idx == 0] = levels[0]
+    out[idx >= levels.size] = 0.0
+    return out
 
 
 def symmetrize_rearrange(p: Profile) -> Profile:
@@ -246,50 +319,11 @@ def symmetrize_rearrange(p: Profile) -> Profile:
     if already:
         return p  # exact fixed point; keeps the operation idempotent
 
-    rho = np.where(v <= np.pi / 2, v, np.pi - v)
-    dev = np.clip(rho - params.theta_h, 0.0, np.pi / 2 - params.theta_h)
-    dev_max = np.pi / 2 - params.theta_h
-    s = grid.spacing
-
-    a, b = dev[:-1], dev[1:]
-    va, vb = v[:-1], v[1:]
-    crossing = (va - np.pi / 2) * (vb - np.pi / 2) < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(crossing, (np.pi / 2 - va) / (vb - va), 1.0)
-    frac = np.clip(frac, 0.0, 1.0)
-
-    # plain segments, plus the two halves of every segment folded at pi/2
-    plain = ~crossing
-    seg_lo = np.concatenate([
-        np.minimum(a, b)[plain], a[crossing], b[crossing]])
-    seg_hi = np.concatenate([
-        np.maximum(a, b)[plain],
-        np.full(np.count_nonzero(crossing), dev_max),
-        np.full(np.count_nonzero(crossing), dev_max)])
-    seg_w = np.concatenate([
-        np.full(np.count_nonzero(plain), s),
-        s * frac[crossing], s * (1.0 - frac[crossing])])
-
-    levels = np.unique(np.concatenate([seg_lo, seg_hi, [0.0, dev_max]]))[::-1]
+    seg_lo, seg_hi, seg_w, levels = _folded_segments(v, grid, params)
     mu_plus, mu_at = _layer_widths(seg_lo, seg_hi, seg_w, levels)
 
-    radii = grid.points[c:]
-    targets = 2.0 * radii
-    # mu_at is nondecreasing along descending levels; invert, honoring jumps
-    idx = np.searchsorted(mu_at, targets, side="left")
-    t_out = np.empty(radii.size)
-    for j, (w, i) in enumerate(zip(targets, idx)):
-        if i == 0:
-            t_out[j] = levels[0]
-        elif i >= levels.size:
-            t_out[j] = 0.0
-        elif w >= mu_plus[i]:
-            t_out[j] = levels[i]  # inside the jump of a flat stretch
-        else:
-            m0, m1 = mu_at[i - 1], mu_plus[i]
-            t0, t1 = levels[i - 1], levels[i]
-            t_out[j] = t1 if m1 <= m0 else t1 + (t0 - t1) * (m1 - w) / (m1 - m0)
-    t_out = np.clip(t_out, 0.0, dev_max)
+    t_out = _invert_widths(levels, mu_plus, mu_at, 2.0 * grid.points[c:])
+    t_out = np.clip(t_out, 0.0, np.pi / 2 - params.theta_h)
     t_out = np.minimum.accumulate(t_out)
 
     out = np.empty_like(v)

@@ -17,6 +17,7 @@ difference quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,25 +47,56 @@ class FieldSamples:
         object.__setattr__(self, "values", v)
 
 
-def spectral_wavenumbers(grid: Grid1D) -> np.ndarray:
-    """|k| for the rfft modes of the periodic extension, k_m = pi m / half_length."""
-    return 2.0 * np.pi * np.fft.rfftfreq(grid.n_points, d=grid.spacing)
+class GridConstants:
+    """Read-only per-grid arrays shared by every caller on the grid.
+
+    wavenumbers: |k| of the rfft modes, k_m = pi m / half_length.
+    weighted_wavenumbers: |k| times the mode's rfft multiplicity (1 for the
+        mean and Nyquist modes, else 2), to sum over the full spectrum.
+    ramp: i / n_points at the first n_points samples, for detrending.
+    trapezoid: trapezoid-rule weights of the samples.
+    """
+
+    __slots__ = ("wavenumbers", "weighted_wavenumbers", "ramp", "trapezoid")
+
+    def __init__(self, n_points: int, spacing: float):
+        k = 2.0 * np.pi * np.fft.rfftfreq(n_points, d=spacing)
+        mult = np.full(k.size, 2.0)
+        mult[0] = 1.0
+        mult[-1] = 1.0
+        w = np.full(n_points + 1, spacing)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        self.wavenumbers = k
+        self.weighted_wavenumbers = mult * k
+        self.ramp = np.arange(n_points) / n_points
+        self.trapezoid = w
+        for name in self.__slots__:
+            getattr(self, name).setflags(write=False)
 
 
-def _detrend(values: np.ndarray) -> np.ndarray:
-    """Subtract the straight line through the endpoint values."""
-    n = values.size - 1
-    trend = values[0] + (values[-1] - values[0]) * (np.arange(n + 1) / n)
-    return values - trend
+_grid_constants = lru_cache(maxsize=8)(GridConstants)
+
+
+def grid_constants(grid: Grid1D) -> GridConstants:
+    """The grid's spectral and quadrature constants, cached per grid."""
+    return _grid_constants(grid.n_points, grid.spacing)
+
+
+def detrended_rfft(values: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """rfft of the first n_points samples less the line through the endpoint
+    values, one period of a continuous periodic extension."""
+    ramp = grid_constants(grid).ramp
+    trend = values[0] + (values[-1] - values[0]) * ramp
+    return np.fft.rfft(values[:-1] - trend)
 
 
 def half_laplacian_spectral_values(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Array-level spectral half-Laplacian (see half_laplacian_spectral)."""
     if values.shape != (grid.n_samples,):
         raise ValueError("field length does not match grid")
-    w = _detrend(values)
-    k = spectral_wavenumbers(grid)
-    out = np.fft.irfft(k * np.fft.rfft(w[:-1]), n=grid.n_points)
+    k = grid_constants(grid).wavenumbers
+    out = np.fft.irfft(k * detrended_rfft(values, grid), n=grid.n_points)
     return np.append(out, out[0])
 
 
@@ -151,9 +183,7 @@ def h_half_seminorm_sq(u: FieldSamples) -> float:
     grid = u.grid
     v = u.values - np.mean(u.values)  # shift invariance; keeps sums small
     s = grid.spacing
-    w = np.full(grid.n_samples, s)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = grid_constants(grid).trapezoid
 
     n = grid.n_points
     lags = np.arange(-n, n + 1, dtype=float)

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .fractional import FieldSamples, half_laplacian_spectral_values
+from .fractional import FieldSamples, grid_constants, half_laplacian_spectral_values
 from .grid import Grid1D, ModelParams, Profile
 
 
@@ -223,10 +223,7 @@ def decay_amplitude(p: Profile) -> DecayReport:
     """
     terms = forcing_terms(p)
     grid, params = p.grid, p.params
-    w = np.full(grid.n_samples, grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    forcing_integral = float(np.sum(w * terms.f_total.values))
+    forcing_integral = float(np.sum(grid_constants(grid).trapezoid * terms.f_total.values))
     coeff = green_decay_coeff(params)
     amplitude_multipole = coeff * (forcing_integral + terms.corner_charge)
 
@@ -260,9 +257,6 @@ def convolve_green(f: FieldSamples, params: ModelParams) -> FieldSamples:
     """
     grid = f.grid
     kernel = green_samples(grid, params)
-    w = np.full(grid.n_samples, grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    full = np.convolve(f.values * w, kernel)
+    full = np.convolve(f.values * grid_constants(grid).trapezoid, kernel)
     n = grid.n_points
     return FieldSamples(grid, full[n:2 * n + 1])

@@ -35,7 +35,8 @@ from .energy import (
     gradient_values,
     symmetrize_rearrange,
 )
-from .fractional import spectral_wavenumbers
+from .fractional import grid_constants
+from .green import DecayReport
 from .grid import Grid1D, ModelParams, Profile
 
 ARMIJO_SLOPE_FRACTION = 1e-4
@@ -70,7 +71,11 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
-    """Converged (recentered) profile plus solver diagnostics."""
+    """Converged (recentered) profile plus solver diagnostics.
+
+    decay is the far-field report of a converged solve when the caller
+    computed one (analysis.solve_cell does); it is not serialized.
+    """
 
     profile: Profile
     energy: EnergyBreakdown
@@ -78,6 +83,7 @@ class SolveResult:
     iterations: int
     converged: bool
     tail_amplitude: float = math.nan
+    decay: Optional[DecayReport] = None
 
 
 def _default_step(grid: Grid1D, params: ModelParams) -> float:
@@ -87,7 +93,7 @@ def _default_step(grid: Grid1D, params: ModelParams) -> float:
 def _precondition(g: np.ndarray, grid: Grid1D, params: ModelParams) -> np.ndarray:
     """Divide by the linearized symbol; endpoints stay pinned at zero."""
     c2 = params.cos_theta_h ** 2
-    k = spectral_wavenumbers(grid)
+    k = grid_constants(grid).wavenumbers
     symbol = k * k + 0.5 * params.nu * c2 * k + c2
     d = np.fft.irfft(np.fft.rfft(g[:-1]) / symbol, n=grid.n_points)
     d = np.append(d, d[0])
@@ -142,10 +148,16 @@ class _Descent:
                 return False  # line search stalled below machine step
 
             clamped = _pin(clamp_values(trial, params), params)
-            self.e += energy_delta(self.v, clamped, grid, params)
+            # the trial's delta is exact for the clamped iterate unless the
+            # clamp or the pin moved a value
+            if np.array_equal(clamped, trial):
+                self.e += delta
+            else:
+                self.e += energy_delta(self.v, clamped, grid, params)
             self.v = clamped
             self.step = min(alpha * STEP_GROWTH, STEP_MAX)
             self.iterations += 1
+            del g, d, cand, trial, clamped   # not live across the rearrangement
 
             if (opts.use_rearrangement_preprocess
                     and self.iterations % REARRANGE_PERIOD == 0):

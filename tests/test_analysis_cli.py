@@ -1,10 +1,12 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import neelwall as nw
+from neelwall import analysis
 from neelwall.cli import main
 from neelwall.io import result_to_dict, table_to_csv
 
@@ -45,6 +47,15 @@ class TestVerify:
         assert not report.monotone_strict
         assert report.violation_index == 100
         assert report.monotone_margin <= 0  # flag consistent with margin
+
+    def test_tolerance_flags_follow_tol(self, small_solve):
+        defect = nw.verify(small_solve).symmetry_defect
+        residual = small_solve.residual_sup
+        assert defect > 0 and residual > 0
+        loose = nw.verify(small_solve, max(residual, defect / 10))
+        assert loose.symmetry_ok and loose.residual_ok
+        tight = nw.verify(small_solve, min(residual, defect / 10) / 2)
+        assert not tight.symmetry_ok and not tight.residual_ok
 
     def test_unconverged_rejected(self, small_solve):
         bad = nw.SolveResult(
@@ -99,6 +110,27 @@ class TestSweep:
         t1 = nw.sweep([0.5, 1.0], [0.0, 0.2], parallel=False, **kwargs)
         t2 = nw.sweep([0.5, 1.0], [0.0, 0.2], parallel=True, **kwargs)
         assert t1.rows == t2.rows
+
+
+    def test_parallel_workers_capped_and_one_decay_per_row(self, monkeypatch):
+        threads, decays = set(), []
+        row_for, decay = analysis._row_for, analysis.decay_amplitude
+
+        def recording_row_for(*args):
+            threads.add(threading.get_ident())
+            return row_for(*args)
+
+        def counting_decay(p):
+            decays.append(p)
+            return decay(p)
+
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(analysis, "_row_for", recording_row_for)
+        monkeypatch.setattr(analysis, "decay_amplitude", counting_decay)
+        table = nw.sweep([0.5, 1.0], [0.0, 0.2], half_length=20.0, n_points=256)
+        assert table.all_converged
+        assert 1 <= len(threads) <= 2
+        assert len(decays) == len(table)
 
 
 class TestEmitLoad:

@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neelwall as nw
-from neelwall.energy import energy_delta, energy_parts, gradient_values
+from neelwall.energy import (
+    _folded_segments,
+    _invert_widths,
+    _layer_widths,
+    clamp_values,
+    energy_delta,
+    energy_parts,
+    gradient_values,
+)
 from conftest import make_random_admissible
 
 # frozen after the first validated run; the stray part was cross-checked
@@ -215,6 +223,123 @@ class TestSymmetrizeRearrange:
         once = nw.symmetrize_rearrange(p)
         twice = nw.symmetrize_rearrange(once)
         assert np.array_equal(once.values, twice.values)
+
+
+def _layer_widths_loop(seg_lo, seg_hi, seg_w, levels):
+    """Level-by-level sweep; the reference _layer_widths must match bit for bit."""
+    flat = seg_hi <= seg_lo
+    with np.errstate(divide="ignore"):
+        slopes = np.where(~flat, seg_w / (seg_hi - seg_lo), 0.0)
+    order_hi = np.argsort(seg_hi)[::-1]
+    order_lo = np.argsort(seg_lo)[::-1]
+
+    mu_plus = np.zeros(levels.size)
+    mu_at = np.zeros(levels.size)
+    i_hi = i_lo = 0
+    active_slope = 0.0
+    anchor = 0.0
+    done_width = 0.0
+    for m, t in enumerate(levels):
+        jump = 0.0
+        while i_hi < order_hi.size and seg_hi[order_hi[i_hi]] >= t:
+            j = order_hi[i_hi]
+            if not flat[j]:
+                active_slope += slopes[j]
+                anchor += slopes[j] * seg_hi[j]
+            elif seg_lo[j] == t:
+                jump += seg_w[j]
+            else:
+                done_width += seg_w[j]
+            i_hi += 1
+        while i_lo < order_lo.size and seg_lo[order_lo[i_lo]] >= t:
+            j = order_lo[i_lo]
+            if not flat[j]:
+                active_slope -= slopes[j]
+                anchor -= slopes[j] * seg_hi[j]
+                done_width += seg_w[j]
+            i_lo += 1
+        mu_plus[m] = done_width + (anchor - active_slope * t)
+        mu_at[m] = mu_plus[m] + jump
+        done_width += jump
+    return mu_plus, mu_at
+
+
+def _invert_widths_loop(levels, mu_plus, mu_at, targets):
+    """Per-radius inversion; the reference _invert_widths must match bit for bit."""
+    idx = np.searchsorted(mu_at, targets, side="left")
+    t_out = np.empty(targets.size)
+    for j, (w, i) in enumerate(zip(targets, idx)):
+        if i == 0:
+            t_out[j] = levels[0]
+        elif i >= levels.size:
+            t_out[j] = 0.0
+        elif w >= mu_plus[i]:
+            t_out[j] = levels[i]
+        else:
+            m0, m1 = mu_at[i - 1], mu_plus[i]
+            t0, t1 = levels[i - 1], levels[i]
+            t_out[j] = t1 if m1 <= m0 else t1 + (t0 - t1) * (m1 - w) / (m1 - m0)
+    return t_out
+
+
+def _rearrangement_profiles(rng):
+    """Clamped profiles with flat stretches, plateaus and exact pi/2 samples."""
+    for n, h in [(4, 0.0), (6, 0.3), (64, 0.0), (256, 0.25), (1024, 0.9)]:
+        g, params = _grid_params(h=h, n=n)
+        for variant in range(4):
+            v = clamp_values(make_random_admissible(g, params, rng).values, params)
+            if variant == 1:  # flat stretches, one of >= 3 segments
+                for start, length in [(0, 4), (n // 2, 3), (3 * n // 4, 2)]:
+                    v[start:start + length] = v[start]
+            elif variant == 2:  # exact theta_h plateaus at both ends
+                k = max(1, n // 5)
+                v[:k] = params.left_plateau
+                v[-k:] = params.right_plateau
+            elif variant == 3:  # samples exactly at the fold
+                v[rng.integers(0, n + 1, size=3)] = np.pi / 2
+            yield g, params, v
+
+
+class TestVectorizedRearrangement:
+    """The vectorized layer widths and inversion reproduce the loops' bits."""
+
+    def test_layer_widths_match_loop_on_profiles(self):
+        rng = np.random.default_rng(21)
+        for g, params, v in _rearrangement_profiles(rng):
+            segs = _folded_segments(v, g, params)
+            want = _layer_widths_loop(*segs)
+            got = _layer_widths(*segs)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_layer_widths_match_loop_with_ties_and_flat_levels(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            q = rng.integers(0, 6, size=(2, n)) / 5.0   # few values: many ties
+            seg_lo, seg_hi = q.min(axis=0), q.max(axis=0)
+            flat = rng.random(n) < 0.3
+            seg_hi[flat] = seg_lo[flat]
+            seg_w = rng.random(n)
+            # three flat segments at one level whose sum depends on its order
+            seg_lo = np.concatenate([seg_lo, [0.4, 0.4, 0.4]])
+            seg_hi = np.concatenate([seg_hi, [0.4, 0.4, 0.4]])
+            seg_w = np.concatenate([seg_w, [0.1, 0.2, 0.3]])
+            levels = np.unique(np.concatenate([seg_lo, seg_hi, [0.0, 1.0]]))[::-1]
+            want = _layer_widths_loop(seg_lo, seg_hi, seg_w, levels)
+            got = _layer_widths(seg_lo, seg_hi, seg_w, levels)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_inversion_matches_loop(self):
+        rng = np.random.default_rng(23)
+        for g, params, v in _rearrangement_profiles(rng):
+            levels = _folded_segments(v, g, params)[3]
+            mu_plus, mu_at = _layer_widths(*_folded_segments(v, g, params))
+            targets = 2.0 * g.points[g.center_index:]
+            assert np.array_equal(
+                _invert_widths(levels, mu_plus, mu_at, targets),
+                _invert_widths_loop(levels, mu_plus, mu_at, targets))
 
 
 class TestSinMidpoint:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import neelwall as nw
+from neelwall.energy import energy_parts
 from neelwall.minimize import _Descent, find_crossing
 
 
@@ -42,6 +43,30 @@ class TestMinimize:
             energies.append(state.e)
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-12)
+
+    def test_tracked_energy_matches_recomputed(self):
+        # the run clamps one trial and rearranges twice (h = 0.99, nu = 10)
+        grid = nw.make_grid(20.0, 512)
+        params = nw.ModelParams(10.0, 0.99)
+        state = _Descent(nw.reference_profile(grid, params).values.copy(),
+                         grid, params, nw.SolveOptions())
+        assert state.run(1000)
+        assert state.e == pytest.approx(
+            sum(energy_parts(state.v, grid, params)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nu, h, half_length, n_points, iterations, total", [
+        (1.0, 0.0, 10.0, 256, 30, 2.2048205673805725),
+        (10.0, 0.99, 20.0, 512, 55, 0.002103098749148515),
+    ])
+    def test_golden_iterations_and_energy(self, nu, h, half_length, n_points,
+                                          iterations, total):
+        # recorded before the rearrangement was vectorized, with numpy 2.4 on
+        # x86-64; pins the iterates bit for bit (other libm or FFT builds may
+        # move the last bits of the energy)
+        result = nw.solve_cell(nu, h, None, half_length, n_points)
+        assert result.converged
+        assert result.iterations == iterations
+        assert result.energy.total == total
 
     def test_small_domain_rejected(self):
         grid = nw.make_grid(1.5, 64)
