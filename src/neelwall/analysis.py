@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -116,8 +116,7 @@ class SweepTable:
 
     rows: List[SweepRow] = field(default_factory=list)
 
-    COLUMNS = ("nu", "h", "energy_total", "wall_width", "amplitude_multipole",
-               "amplitude_tailfit", "residual_sup", "converged")
+    COLUMNS = tuple(f.name for f in fields(SweepRow))
 
     def __iter__(self):
         return iter(self.rows)

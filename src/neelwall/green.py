@@ -29,11 +29,18 @@ from .fractional import FieldSamples, grid_constants, half_laplacian_spectral_va
 from .grid import Grid1D, ModelParams, Profile
 
 
+def linearized_symbol(k, params: ModelParams):
+    """Fourier symbol of L at wavenumber magnitude k >= 0:
+
+        k^2 + (nu/2) cos^2(theta_h) k + cos^2(theta_h).
+    """
+    c2 = params.cos_theta_h ** 2
+    return k * k + 0.5 * params.nu * c2 * k + c2
+
+
 def green_hat(k, params: ModelParams):
     """Fourier transform of the fundamental solution; even and positive."""
-    k = np.abs(np.asarray(k, dtype=float))
-    c2 = params.cos_theta_h ** 2
-    out = 1.0 / (k * k + 0.5 * params.nu * c2 * k + c2)
+    out = 1.0 / linearized_symbol(np.abs(np.asarray(k, dtype=float)), params)
     return float(out) if out.ndim == 0 else out
 
 

@@ -151,17 +151,8 @@ class Profile:
                 and abs(self.values[-1] - self.params.right_plateau) <= tol)
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    """C-infinity bump exp(-1/(1 - t^2)) on (-1, 1), zero outside."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out
-
-
 def _bump_scalar(t: float) -> float:
+    """C-infinity bump exp(-1/(1 - t^2)) on (-1, 1), zero outside."""
     if abs(t) >= 1.0:
         return 0.0
     return float(np.exp(-1.0 / (1.0 - t * t)))

@@ -72,12 +72,15 @@ def result_to_dict(result: SolveResult) -> dict:
 def table_to_csv(table: SweepTable) -> str:
     lines = [",".join(SweepTable.COLUMNS)]
     for r in table.rows:
-        lines.append(",".join([
-            _fmt(r.nu), _fmt(r.h), _fmt(r.energy_total), _fmt(r.wall_width),
-            _fmt(r.amplitude_multipole), _fmt(r.amplitude_tailfit),
-            _fmt(r.residual_sup), "true" if r.converged else "false",
-        ]))
+        lines.append(",".join(_csv_cell(col, getattr(r, col))
+                              for col in SweepTable.COLUMNS))
     return "\n".join(lines) + "\n"
+
+
+def _csv_cell(col: str, value) -> str:
+    if col == "converged":
+        return "true" if value else "false"
+    return _fmt(value)
 
 
 def table_to_dict(table: SweepTable) -> dict:
@@ -170,17 +173,17 @@ def load_table(path: str) -> SweepTable:
     rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        rows.append(SweepRow(
-            nu=float(cells[0]), h=float(cells[1]),
-            energy_total=_parse_float(cells[2]),
-            wall_width=_parse_float(cells[3]),
-            amplitude_multipole=_parse_float(cells[4]),
-            amplitude_tailfit=_parse_float(cells[5]),
-            residual_sup=_parse_float(cells[6]),
-            converged=cells[7] == "true",
-        ))
+        if len(cells) != len(header):
+            raise ValueError(f"{path!r} has a CSV row of {len(cells)} cells, "
+                             f"expected {len(header)}")
+        rows.append(SweepRow(**{col: _parse_csv_cell(col, cell)
+                                for col, cell in zip(header, cells)}))
     return SweepTable(rows=rows)
 
 
-def _parse_float(cell: str) -> float:
+def _parse_csv_cell(col: str, cell: str):
+    if col == "converged":
+        return cell == "true"
+    if col in ("nu", "h"):
+        return float(cell)  # a cell's coordinates are never null
     return math.nan if cell == "null" else float(cell)

@@ -36,7 +36,7 @@ from .energy import (
     symmetrize_rearrange,
 )
 from .fractional import grid_constants
-from .green import DecayReport
+from .green import DecayReport, linearized_symbol
 from .grid import Grid1D, ModelParams, Profile
 
 ARMIJO_SLOPE_FRACTION = 1e-4
@@ -45,28 +45,22 @@ STEP_GROWTH = 2.0
 STEP_MAX = 4.0
 REARRANGE_PERIOD = 25
 MIN_STEP = 1e-18
+RECENTER_RETRIES = 3       # descent rounds resumed after a recentering
+RECENTER_RETRY_ITER = 500  # iteration budget of each such round
 
 
 @dataclass
 class SolveOptions:
-    """Termination and stepping controls for the minimizer.
-
-    step_init defaults to the symbol-based Lipschitz estimate
-    1 / (1 + nu * pi / spacing) when left unset.
-    """
+    """Termination controls for the minimizer."""
 
     tol: float = 1e-6
     max_iter: int = 20000
-    step_init: Optional[float] = None
-    use_rearrangement_preprocess: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.step_init is not None and self.step_init <= 0:
-            raise ValueError(f"step_init must be positive, got {self.step_init}")
 
 
 @dataclass
@@ -86,15 +80,9 @@ class SolveResult:
     decay: Optional[DecayReport] = None
 
 
-def _default_step(grid: Grid1D, params: ModelParams) -> float:
-    return 1.0 / (1.0 + params.nu * np.pi / grid.spacing)
-
-
 def _precondition(g: np.ndarray, grid: Grid1D, params: ModelParams) -> np.ndarray:
     """Divide by the linearized symbol; endpoints stay pinned at zero."""
-    c2 = params.cos_theta_h ** 2
-    k = grid_constants(grid).wavenumbers
-    symbol = k * k + 0.5 * params.nu * c2 * k + c2
+    symbol = linearized_symbol(grid_constants(grid).wavenumbers, params)
     d = np.fft.irfft(np.fft.rfft(g[:-1]) / symbol, n=grid.n_points)
     d = np.append(d, d[0])
     d[0] = 0.0
@@ -108,25 +96,26 @@ def _pin(v: np.ndarray, params: ModelParams) -> np.ndarray:
     return v
 
 
+def _residual(v: np.ndarray, grid: Grid1D, params: ModelParams) -> float:
+    return float(np.max(np.abs(gradient_values(v, grid, params))))
+
+
 class _Descent:
     """Mutable state of one projected-descent run on raw value arrays."""
 
-    def __init__(self, v, grid, params, opts):
-        self.grid, self.params, self.opts = grid, params, opts
+    def __init__(self, v, grid, params, tol):
+        self.grid, self.params, self.tol = grid, params, tol
         self.v = _pin(clamp_values(v, params), params)
-        self.e = sum(energy_parts(self.v, grid, params))
-        self.step = (opts.step_init if opts.step_init is not None
-                     else _default_step(grid, params))
+        # symbol-based Lipschitz estimate of the first step
+        self.step = 1.0 / (1.0 + params.nu * np.pi / grid.spacing)
         self.iterations = 0
-        self.residual = float(np.max(np.abs(gradient_values(self.v, grid, params))))
 
     def run(self, budget: int) -> bool:
         """Iterate up to `budget` accepted steps; True once residual <= tol."""
-        grid, params, opts = self.grid, self.params, self.opts
+        grid, params = self.grid, self.params
         for _ in range(budget):
             g = gradient_values(self.v, grid, params)
-            self.residual = float(np.max(np.abs(g)))
-            if self.residual <= opts.tol:
+            if np.max(np.abs(g)) <= self.tol:
                 return True
 
             d = _precondition(g, grid, params)
@@ -147,29 +136,17 @@ class _Descent:
             if trial is None:
                 return False  # line search stalled below machine step
 
-            clamped = _pin(clamp_values(trial, params), params)
-            # the trial's delta is exact for the clamped iterate unless the
-            # clamp or the pin moved a value
-            if np.array_equal(clamped, trial):
-                self.e += delta
-            else:
-                self.e += energy_delta(self.v, clamped, grid, params)
-            self.v = clamped
+            self.v = _pin(clamp_values(trial, params), params)
             self.step = min(alpha * STEP_GROWTH, STEP_MAX)
             self.iterations += 1
-            del g, d, cand, trial, clamped   # not live across the rearrangement
+            del g, d, cand, trial   # not live across the rearrangement
 
-            if (opts.use_rearrangement_preprocess
-                    and self.iterations % REARRANGE_PERIOD == 0):
+            if self.iterations % REARRANGE_PERIOD == 0:
                 cand = symmetrize_rearrange(Profile(grid, self.v, params)).values
-                delta = energy_delta(self.v, cand, grid, params)
-                if delta <= 0.0:
+                if energy_delta(self.v, cand, grid, params) <= 0.0:
                     self.v = cand.copy()
-                    self.e += delta
 
-        g = gradient_values(self.v, grid, params)
-        self.residual = float(np.max(np.abs(g)))
-        return self.residual <= opts.tol
+        return _residual(self.v, grid, params) <= self.tol
 
 
 def find_crossing(points: np.ndarray, values: np.ndarray, level: float) -> float:
@@ -218,9 +195,10 @@ def recenter(p: Profile) -> Profile:
 def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResult:
     """Minimize the wall energy over the admissible class.
 
-    Returns a SolveResult whose profile is recentered; `converged` reports
-    whether the interior gradient sup-norm reached opts.tol.  Non-convergence
-    is reported through the flag, never raised.
+    Returns a SolveResult whose profile is recentered (an unconverged one
+    only if it crosses pi/2 once); `converged` reports whether the interior
+    gradient sup-norm of that profile reached opts.tol.  Non-convergence is
+    reported through the flag, never raised.
     """
     if opts is None:
         opts = SolveOptions()
@@ -230,39 +208,32 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
     if not initial.is_pinned(tol=1e-9):
         raise ValueError("initial profile must be pinned to the plateau angles")
 
-    state = _Descent(initial.values.copy(), grid, params, opts)
+    state = _Descent(initial.values, grid, params, opts.tol)
     converged = state.run(opts.max_iter)
-    total_iterations = state.iterations
-
-    profile = Profile(grid, state.v, params)
-    if converged:
-        # Recentering is a sub-cell resample; if it nudges the residual past
-        # tol, resume descent from the recentered iterate.
-        for _ in range(3):
-            profile = recenter(profile)
-            res = float(np.max(np.abs(gradient_values(profile.values, grid, params))))
-            if res <= opts.tol:
-                break
-            state = _Descent(profile.values.copy(), grid, params, opts)
-            state.step = 1.0
-            ok = state.run(500)
-            total_iterations += state.iterations
-            profile = Profile(grid, state.v, params)
-            if not ok:
-                converged = False
-                break
-    else:
+    iterations = state.iterations
+    for retry in range(RECENTER_RETRIES + 1):
+        profile = Profile(grid, state.v, params)
         try:
             profile = recenter(profile)
         except ValueError:
-            pass  # unconverged profiles may cross pi/2 several times
+            if converged:
+                raise
+            # unconverged profiles may cross pi/2 several times
+        res = _residual(profile.values, grid, params)
+        if not converged or res <= opts.tol or retry == RECENTER_RETRIES:
+            break
+        # Recentering is a sub-cell resample; it nudged the residual past tol,
+        # so resume descent from the recentered iterate.
+        state = _Descent(profile.values, grid, params, opts.tol)
+        state.step = 1.0
+        converged = state.run(RECENTER_RETRY_ITER)
+        iterations += state.iterations
 
     ex, an, st = energy_parts(profile.values, grid, params)
-    res = float(np.max(np.abs(gradient_values(profile.values, grid, params))))
     return SolveResult(
         profile=profile,
         energy=EnergyBreakdown(ex, an, st, ex + an + st),
         residual_sup=res,
-        iterations=total_iterations,
+        iterations=iterations,
         converged=converged and res <= opts.tol,
     )

@@ -172,6 +172,26 @@ class TestEmitLoad:
         loaded = nw.load_table(str(path))
         assert loaded.rows == table.rows
 
+    def test_csv_null_metrics_load_as_nan(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(",".join(nw.SweepTable.COLUMNS)
+                        + "\n1,0.5,null,null,null,null,null,false\n")
+        (row,) = nw.load_table(str(path)).rows
+        assert (row.nu, row.h, row.converged) == (1.0, 0.5, False)
+        assert math.isnan(row.energy_total) and math.isnan(row.residual_sup)
+
+    @pytest.mark.parametrize("row", [
+        "null,0,1,1,1,1,1e-7,true",   # a cell's coordinates are never null
+        "1,null,1,1,1,1,1e-7,true",
+        "1,0,1,1,1,1,1e-7",           # one cell short
+        "1,0,1,1,1,1,1e-7,true,1",    # one cell over
+    ])
+    def test_csv_malformed_row_rejected(self, tmp_path, row):
+        path = tmp_path / "sweep.csv"
+        path.write_text(",".join(nw.SweepTable.COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(ValueError):
+            nw.load_table(str(path))
+
     def test_table_json_round_trip(self, tmp_path):
         table = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)
         path = tmp_path / "sweep.json"
