@@ -42,7 +42,7 @@ class VerificationReport:
     residual_ok: bool
 
 
-def verify(result: SolveResult, tol: float = 1e-6) -> VerificationReport:
+def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationReport:
     """Run every profile check on a converged solve and aggregate margins.
 
     Raises:

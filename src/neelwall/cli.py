@@ -32,15 +32,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_solve_flags(sub):
-    sub.add_argument("--nu", type=float, required=True, help="thin film parameter, > 0")
-    sub.add_argument("--h", type=float, default=0.0, help="transverse field in [0, 1)")
+def _add_grid_and_budget_flags(sub):
+    """Flags shared by solve and sweep; the budget defaults are SolveOptions'."""
     sub.add_argument("--half-length", type=float, default=DEFAULT_HALF_LENGTH)
     sub.add_argument("--points", type=int, default=DEFAULT_N_POINTS)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--max-iter", type=int, default=20000)
+    sub.add_argument("--tol", type=float, default=SolveOptions.tol)
+    sub.add_argument("--max-iter", type=int, default=SolveOptions.max_iter)
     sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--format", type=str, choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="minimize the wall energy for one (nu, h)")
-    _add_solve_flags(solve)
+    solve.add_argument("--nu", type=float, required=True, help="thin film parameter, > 0")
+    solve.add_argument("--h", type=float, default=0.0, help="transverse field in [0, 1)")
+    _add_grid_and_budget_flags(solve)
 
     green = subs.add_parser("green", help="sample the fundamental solution")
     green.add_argument("--nu", type=float, required=True)
@@ -61,16 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw = subs.add_parser("sweep", help="independent solves over a (nu, h) table")
     sw.add_argument("--nu-list", type=float, nargs="+", required=True)
     sw.add_argument("--h-list", type=float, nargs="+", required=True)
-    sw.add_argument("--half-length", type=float, default=DEFAULT_HALF_LENGTH)
-    sw.add_argument("--points", type=int, default=DEFAULT_N_POINTS)
-    sw.add_argument("--tol", type=float, default=1e-6)
-    sw.add_argument("--max-iter", type=int, default=20000)
-    sw.add_argument("--out", type=str, default=None)
+    _add_grid_and_budget_flags(sw)
     sw.add_argument("--format", type=str, choices=("json", "csv"), default="csv")
 
     ver = subs.add_parser("verify", help="re-check a stored solve result")
     ver.add_argument("--in", dest="infile", type=str, required=True)
-    ver.add_argument("--tol", type=float, default=1e-6)
+    ver.add_argument("--tol", type=float, default=SolveOptions.tol)
 
     return parser
 
@@ -95,7 +91,7 @@ def _cmd_solve(args) -> int:
                   f"tail fit {_fmt(report.decay.amplitude_tailfit)}, "
                   f"exponent {_fmt(report.decay.exponent_fit)}")
     if args.out:
-        emit(result, args.format, args.out)
+        emit(result, "json", args.out)
         print(f"wrote {args.out}")
     return 0 if result.converged else 2
 
@@ -112,12 +108,8 @@ def _cmd_green(args) -> int:
         "g": gs,
     }
     if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(_encode(doc) + "\n")
-        except OSError as exc:
-            print(f"cannot write to {args.out!r}: {exc}", file=sys.stderr)
-            return 1
+        with open(args.out, "w") as f:
+            f.write(_encode(doc) + "\n")
         print(f"wrote {args.out}")
     else:
         print(_encode(doc))

@@ -25,7 +25,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .fractional import FieldSamples, grid_constants, half_laplacian_spectral_values
+from .fractional import (
+    FieldSamples,
+    _lag_convolve,
+    grid_constants,
+    half_laplacian_spectral_values,
+)
 from .grid import Grid1D, ModelParams, Profile
 
 
@@ -263,7 +268,5 @@ def convolve_green(f: FieldSamples, params: ModelParams) -> FieldSamples:
     every lag (cached).  Reconstructs L^{-1} f on the grid.
     """
     grid = f.grid
-    kernel = green_samples(grid, params)
-    full = np.convolve(f.values * grid_constants(grid).trapezoid, kernel)
-    n = grid.n_points
-    return FieldSamples(grid, full[n:2 * n + 1])
+    weighted = f.values * grid_constants(grid).trapezoid
+    return FieldSamples(grid, _lag_convolve(weighted, green_samples(grid, params)))

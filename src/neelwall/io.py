@@ -120,10 +120,6 @@ def emit(obj: Union[SolveResult, SweepTable], format: str, path: str) -> None:
         raise OSError(f"cannot write to {path!r}: {exc}") from exc
 
 
-def _nan_if_none(x):
-    return math.nan if x is None else x
-
-
 def load_result(path: str) -> SolveResult:
     """Reconstruct a SolveResult from its JSON form; bit-exact round trip."""
     try:
@@ -144,7 +140,7 @@ def load_result(path: str) -> SolveResult:
         residual_sup=doc["residual_sup"],
         iterations=doc["iterations"],
         converged=doc["converged"],
-        tail_amplitude=_nan_if_none(doc["tail_amplitude"]),
+        tail_amplitude=_load_cell("tail_amplitude", doc["tail_amplitude"]),
     )
 
 
@@ -159,31 +155,34 @@ def load_table(path: str) -> SweepTable:
         doc = json.loads(text)
         if doc.get("kind") != "sweep_table":
             raise ValueError(f"{path!r} does not contain a sweep table")
-        rows = [
-            SweepRow(**{col: (_nan_if_none(row[col]) if col != "converged"
-                              else row[col])
-                        for col in SweepTable.COLUMNS})
-            for row in doc["rows"]
-        ]
-        return SweepTable(rows=rows)
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    if tuple(header) != SweepTable.COLUMNS:
-        raise ValueError(f"{path!r} has unexpected CSV header {header}")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(header):
-            raise ValueError(f"{path!r} has a CSV row of {len(cells)} cells, "
-                             f"expected {len(header)}")
-        rows.append(SweepRow(**{col: _parse_csv_cell(col, cell)
-                                for col, cell in zip(header, cells)}))
-    return SweepTable(rows=rows)
+        parsed = doc["rows"]
+    else:
+        lines = [ln for ln in text.splitlines() if ln]
+        header = lines[0].split(",")
+        if tuple(header) != SweepTable.COLUMNS:
+            raise ValueError(f"{path!r} has unexpected CSV header {header}")
+        parsed = []
+        for ln in lines[1:]:
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"{path!r} has a CSV row of {len(cells)} cells, "
+                                 f"expected {len(header)}")
+            parsed.append({col: _CSV_LITERALS.get(cell, cell)
+                           for col, cell in zip(header, cells)})
+    return SweepTable(rows=[
+        SweepRow(**{col: _load_cell(col, row[col]) for col in SweepTable.COLUMNS})
+        for row in parsed])
 
 
-def _parse_csv_cell(col: str, cell: str):
-    if col == "converged":
-        return cell == "true"
-    if col in ("nu", "h"):
-        return float(cell)  # a cell's coordinates are never null
-    return math.nan if cell == "null" else float(cell)
+_CSV_LITERALS = {"null": None, "true": True, "false": False}
+
+
+def _load_cell(col: str, value):
+    """A parsed JSON or CSV value under its field's policy: nu and h are never
+    null, a null metric loads as NaN, and converged is a boolean."""
+    is_flag = col == "converged"
+    if is_flag != isinstance(value, bool) or (value is None and col in ("nu", "h")):
+        raise ValueError(f"{col} cannot hold {value!r}")
+    if is_flag:
+        return value
+    return math.nan if value is None else float(value)

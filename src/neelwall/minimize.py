@@ -30,8 +30,8 @@ import numpy as np
 from .energy import (
     EnergyBreakdown,
     clamp_values,
+    energy,
     energy_delta,
-    energy_parts,
     gradient_values,
     symmetrize_rearrange,
 )
@@ -45,8 +45,6 @@ STEP_GROWTH = 2.0
 STEP_MAX = 4.0
 REARRANGE_PERIOD = 25
 MIN_STEP = 1e-18
-RECENTER_RETRIES = 3       # descent rounds resumed after a recentering
-RECENTER_RETRY_ITER = 500  # iteration budget of each such round
 
 
 @dataclass
@@ -187,15 +185,14 @@ def recenter(p: Profile) -> Profile:
     x_star = find_crossing(p.grid.points, p.values, np.pi / 2)
     new_values = np.interp(p.grid.points + x_star, p.grid.points, p.values)
     new_values[p.grid.center_index] = np.pi / 2
-    new_values[0] = p.params.left_plateau
-    new_values[-1] = p.params.right_plateau
-    return p.with_values(new_values)
+    return p.with_values(_pin(new_values, p.params))
 
 
 def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResult:
     """Minimize the wall energy over the admissible class.
 
-    Returns a SolveResult whose profile is recentered (an unconverged one
+    One descent of at most opts.max_iter iterations, so `iterations` never
+    exceeds opts.max_iter.  The profile is recentered (an unconverged one
     only if it crosses pi/2 once); `converged` reports whether the interior
     gradient sup-norm of that profile reached opts.tol.  Non-convergence is
     reported through the flag, never raised.
@@ -210,30 +207,18 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
 
     state = _Descent(initial.values, grid, params, opts.tol)
     converged = state.run(opts.max_iter)
-    iterations = state.iterations
-    for retry in range(RECENTER_RETRIES + 1):
-        profile = Profile(grid, state.v, params)
-        try:
-            profile = recenter(profile)
-        except ValueError:
-            if converged:
-                raise
-            # unconverged profiles may cross pi/2 several times
-        res = _residual(profile.values, grid, params)
-        if not converged or res <= opts.tol or retry == RECENTER_RETRIES:
-            break
-        # Recentering is a sub-cell resample; it nudged the residual past tol,
-        # so resume descent from the recentered iterate.
-        state = _Descent(profile.values, grid, params, opts.tol)
-        state.step = 1.0
-        converged = state.run(RECENTER_RETRY_ITER)
-        iterations += state.iterations
-
-    ex, an, st = energy_parts(profile.values, grid, params)
+    profile = Profile(grid, state.v, params)
+    try:
+        profile = recenter(profile)
+    except ValueError:
+        if converged:
+            raise
+        # unconverged profiles may cross pi/2 several times
+    res = _residual(profile.values, grid, params)
     return SolveResult(
         profile=profile,
-        energy=EnergyBreakdown(ex, an, st, ex + an + st),
+        energy=energy(profile),
         residual_sup=res,
-        iterations=iterations,
+        iterations=state.iterations,
         converged=converged and res <= opts.tol,
     )

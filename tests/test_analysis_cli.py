@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import threading
@@ -7,7 +8,7 @@ import pytest
 
 import neelwall as nw
 from neelwall import analysis
-from neelwall.cli import main
+from neelwall.cli import build_parser, main
 from neelwall.io import result_to_dict, table_to_csv
 
 
@@ -192,6 +193,31 @@ class TestEmitLoad:
         with pytest.raises(ValueError):
             nw.load_table(str(path))
 
+    @staticmethod
+    def _json_table(path, **cells):
+        row = {"nu": 1.0, "h": 0.0, "energy_total": 1.0, "wall_width": 1.0,
+               "amplitude_multipole": 1.0, "amplitude_tailfit": 1.0,
+               "residual_sup": 1e-7, "converged": False, **cells}
+        path.write_text(json.dumps({"kind": "sweep_table", "rows": [row]}))
+        return str(path)
+
+    def test_json_null_metrics_load_as_nan(self, tmp_path):
+        path = self._json_table(tmp_path / "sweep.json",
+                                energy_total=None, residual_sup=None)
+        (row,) = nw.load_table(path).rows
+        assert (row.nu, row.h, row.converged) == (1.0, 0.0, False)
+        assert math.isnan(row.energy_total) and math.isnan(row.residual_sup)
+
+    @pytest.mark.parametrize("cells", [
+        {"nu": None},          # a cell's coordinates are never null
+        {"h": None},
+        {"converged": "true"},  # converged is a JSON boolean
+    ], ids=["null-nu", "null-h", "string-converged"])
+    def test_json_malformed_row_rejected(self, tmp_path, cells):
+        path = self._json_table(tmp_path / "sweep.json", **cells)
+        with pytest.raises(ValueError):
+            nw.load_table(path)
+
     def test_table_json_round_trip(self, tmp_path):
         table = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)
         path = tmp_path / "sweep.json"
@@ -279,6 +305,30 @@ class TestCli:
         code = main(["verify", "--in", "/no/such/file.json"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_green_io_error_names_path(self, capsys):
+        code = main(["green", "--nu", "1", "--samples", "3",
+                     "--out", "/no/such/dir/g.json"])
+        assert code == 1
+        assert "/no/such/dir/g.json" in capsys.readouterr().err
+
+    def test_budget_defaults_are_solve_options(self):
+        defaults = nw.SolveOptions()
+        parser = build_parser()
+        for argv in (["solve", "--nu", "1"],
+                     ["sweep", "--nu-list", "1", "--h-list", "0"],
+                     ["verify", "--in", "x.json"]):
+            args = parser.parse_args(argv)
+            assert args.tol == defaults.tol
+            if argv[0] != "verify":
+                assert args.max_iter == defaults.max_iter
+        assert inspect.signature(nw.verify).parameters["tol"].default == defaults.tol
+
+    def test_solve_has_no_format_flag(self):
+        # solve results serialize to JSON only
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--nu", "1", "--format", "json"])
+        assert err.value.code == 1
 
     def test_flags_not_abbreviated_ambiguously(self, tmp_path):
         # --h and --half-length must both resolve exactly

@@ -117,10 +117,9 @@ class TestMinimize:
         assert r_on.iterations != r_off.iterations
         assert np.max(np.abs(r_on.profile.values - r_off.profile.values)) <= 1e-4
 
-    def test_recenter_retry_returns_recentered(self, monkeypatch):
+    def test_recenter_perturbation_reported_not_retried(self, monkeypatch):
         # a recentering that perturbs the interior pushes the residual past
-        # tol on its first RECENTER_RETRIES calls, forcing every retry round;
-        # the perturbation is odd, so the wall stays centered and converges
+        # tol; the solve reports that, within its budget, and descends no more
         grid = nw.make_grid(10.0, 256)
         params = nw.ModelParams(1.0, 0.0)
         plain = nw.minimize(nw.reference_profile(grid, params))
@@ -129,23 +128,19 @@ class TestMinimize:
 
         def perturbing_recenter(p):
             out = real_recenter(p)
-            if len(calls) < minimize_module.RECENTER_RETRIES:
-                x = p.grid.points
-                bump = np.exp(-(x - 3.0) ** 2) - np.exp(-(x + 3.0) ** 2)
-                out = out.with_values(out.values + 1e-3 * bump)
+            x = p.grid.points
+            bump = np.exp(-(x - 3.0) ** 2) - np.exp(-(x + 3.0) ** 2)
+            out = out.with_values(out.values + 1e-3 * bump)
             calls.append(out)
             return out
 
         monkeypatch.setattr(minimize_module, "recenter", perturbing_recenter)
         result = nw.minimize(nw.reference_profile(grid, params))
-        assert len(calls) == minimize_module.RECENTER_RETRIES + 1
-        assert result.converged
-        assert result.profile is calls[-1]
-        assert result.profile.values[grid.center_index] == np.pi / 2
-        assert result.residual_sup <= nw.SolveOptions().tol
-        assert plain.iterations < result.iterations <= (
-            plain.iterations
-            + minimize_module.RECENTER_RETRIES * minimize_module.RECENTER_RETRY_ITER)
+        assert len(calls) == 1
+        assert not result.converged
+        assert result.residual_sup > nw.SolveOptions().tol
+        assert result.profile is calls[0]
+        assert result.iterations == plain.iterations
 
 
 class TestRecenter:
