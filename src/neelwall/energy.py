@@ -117,6 +117,39 @@ def gradient_values(values: np.ndarray, grid: Grid1D, params: ModelParams) -> np
     return g
 
 
+def hessian_operator(values: np.ndarray, grid: Grid1D, params: ModelParams):
+    """Second variation of the discrete energy at `values`, as phi -> H phi.
+
+    For perturbations phi that vanish at both pinned ends,
+
+        H phi = -phi_xx + (cos 2 theta + h sin theta) phi
+                - (nu/2) sin theta halfLap(sin theta - h) phi
+                + (nu/2) cos theta halfLap(cos theta phi),
+
+    the derivative of gradient_values along phi.  H is symmetric in the
+    spacing-weighted inner product; H phi is zero at the endpoints.
+    """
+    s2 = grid.spacing * grid.spacing
+    half_nu = 0.5 * params.nu
+    cos_t = np.cos(values)
+    sin_t = np.sin(values)
+    lam = half_laplacian_spectral_values(sin_t - params.h, grid)
+    diag = np.cos(2.0 * values) + sin_t * (params.h - half_nu * lam)
+    del sin_t, lam
+
+    def apply(phi: np.ndarray) -> np.ndarray:
+        out = half_laplacian_spectral_values(cos_t * phi, grid)
+        out *= cos_t
+        out *= half_nu
+        out += diag * phi
+        out[1:-1] -= (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / s2
+        out[0] = 0.0
+        out[-1] = 0.0
+        return out
+
+    return apply
+
+
 def energy_gradient(p: Profile) -> FieldSamples:
     """First variation of the energy; exact gradient of the discrete functional.
 

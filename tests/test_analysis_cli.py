@@ -50,12 +50,22 @@ class TestVerify:
         assert report.monotone_margin <= 0  # flag consistent with margin
 
     def test_tolerance_flags_follow_tol(self, small_solve):
-        defect = nw.verify(small_solve).symmetry_defect
-        residual = small_solve.residual_sup
+        # a solve is exactly symmetric, so one sample is moved to give a defect
+        v = small_solve.profile.values.copy()
+        v[100] += 1e-9
+        skewed = nw.SolveResult(
+            profile=small_solve.profile.with_values(v),
+            energy=small_solve.energy,
+            residual_sup=small_solve.residual_sup,
+            iterations=small_solve.iterations,
+            converged=True,
+        )
+        defect = nw.verify(skewed).symmetry_defect
+        residual = skewed.residual_sup
         assert defect > 0 and residual > 0
-        loose = nw.verify(small_solve, max(residual, defect / 10))
+        loose = nw.verify(skewed, max(residual, defect / 10))
         assert loose.symmetry_ok and loose.residual_ok
-        tight = nw.verify(small_solve, min(residual, defect / 10) / 2)
+        tight = nw.verify(skewed, min(residual, defect / 10) / 2)
         assert not tight.symmetry_ok and not tight.residual_ok
 
     def test_unconverged_rejected(self, small_solve):

@@ -12,6 +12,7 @@ from neelwall.energy import (
     energy_delta,
     energy_parts,
     gradient_values,
+    hessian_operator,
 )
 from conftest import make_random_admissible
 
@@ -116,6 +117,45 @@ class TestGradient:
         g, params = _grid_params()
         p = nw.reference_profile(g, params)
         assert np.max(np.abs(nw.el_residual(p).values)) > 1e-2
+
+
+class TestHessian:
+    @staticmethod
+    def _odd_interior(grid, rng, modes=8):
+        x = grid.points
+        phi = sum(rng.normal() / m * np.sin(np.pi * m * (x + grid.half_length)
+                                              / (2.0 * grid.half_length))
+                  for m in range(1, modes + 1))
+        phi = 0.5 * (phi - phi[::-1])
+        phi[0] = phi[-1] = 0.0
+        return phi
+
+    @pytest.mark.parametrize("nu, h", [(0.1, 0.99), (1.0, 0.0), (10.0, 0.3)])
+    def test_matches_gradient_finite_difference(self, nu, h):
+        g, params = _grid_params(h=h, nu=nu, n=512)
+        rng = np.random.default_rng(7)
+        v = clamp_values(make_random_admissible(g, params, rng).values, params)
+        hess = hessian_operator(v, g, params)
+        t = 1e-5
+        for _ in range(5):
+            phi = self._odd_interior(g, rng)
+            fd = (gradient_values(v + t * phi, g, params)
+                  - gradient_values(v - t * phi, g, params)) / (2 * t)
+            analytic = hess(phi)
+            assert np.max(np.abs(analytic - fd)) <= 1e-6 * np.max(np.abs(analytic))
+
+    @pytest.mark.parametrize("nu, h", [(0.1, 0.99), (1.0, 0.0), (10.0, 0.3)])
+    def test_symmetric(self, nu, h):
+        g, params = _grid_params(h=h, nu=nu, n=512)
+        rng = np.random.default_rng(8)
+        v = clamp_values(make_random_admissible(g, params, rng).values, params)
+        hess = hessian_operator(v, g, params)
+        phi, psi = self._odd_interior(g, rng), self._odd_interior(g, rng)
+        h_phi, h_psi = hess(phi), hess(psi)
+        lhs = float(np.sum(phi * h_psi))
+        rhs = float(np.sum(h_phi * psi))
+        assert abs(lhs - rhs) <= 1e-12 * float(np.sum(np.abs(phi * h_psi)))
+        assert h_phi[0] == 0.0 and h_phi[-1] == 0.0
 
 
 class TestClampRotations:

@@ -2,13 +2,17 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import neelwall as nw
-from neelwall.energy import energy_parts
-from neelwall.minimize import _Descent, find_crossing
+from neelwall.minimize import _dirichlet_symbol, _precondition, find_crossing
 
 # the package attribute neelwall.minimize is the function, not the module
 minimize_module = sys.modules["neelwall.minimize"]
+
+# the 3x3 (nu, h) grid of the benchmark's sweep
+BENCH_NUS = (0.1, 2.0, 10.0)
+BENCH_HS = (0.0, 0.3, 0.99)
 
 
 class TestSolveOptions:
@@ -35,32 +39,51 @@ class TestMinimize:
         assert np.max(np.abs(resid.values)) == baseline.residual_sup
 
     def test_monotone_energy_descent(self):
+        # the iterates of a solve capped at k steps are the first k of the
+        # full solve, so this is the energy along one trajectory
         grid = nw.make_grid(20.0, 512)
         params = nw.ModelParams(1.0, 0.2)
-        state = _Descent(nw.reference_profile(grid, params).values,
-                         grid, params, nw.SolveOptions().tol)
-        energies = [sum(energy_parts(state.v, grid, params))]
-        converged = False
-        while not converged and state.iterations < 500:
-            converged = state.run(1)
-            energies.append(sum(energy_parts(state.v, grid, params)))
-        assert converged
-        diffs = np.diff(energies)
-        assert np.all(diffs <= 1e-12)
+        ref = nw.reference_profile(grid, params)
+        energies = []
+        for k in range(1, 20):
+            result = nw.minimize(ref, nw.SolveOptions(max_iter=k))
+            energies.append(result.energy.total)
+            if result.converged:
+                break
+            assert result.iterations == k
+        assert result.converged
+        assert len(energies) >= 3
+        assert np.all(np.diff(energies) <= 1e-12)
 
     @pytest.mark.parametrize("nu, h, half_length, n_points, iterations, total", [
-        (1.0, 0.0, 10.0, 256, 30, 2.2048205673805725),
-        (10.0, 0.99, 20.0, 512, 55, 0.002103098749148515),
+        (1.0, 0.0, 10.0, 256, 7, 2.2048205673805703),
+        (10.0, 0.99, 20.0, 512, 5, 0.002103098749145583),
     ])
     def test_golden_iterations_and_energy(self, nu, h, half_length, n_points,
                                           iterations, total):
-        # recorded before the rearrangement was vectorized, with numpy 2.4 on
-        # x86-64; pins the iterates bit for bit (other libm or FFT builds may
-        # move the last bits of the energy)
+        # recorded with numpy 2.4 on x86-64; pins the iterates bit for bit
+        # (other libm or FFT builds may move the last bits of the energy)
         result = nw.solve_cell(nu, h, None, half_length, n_points)
         assert result.converged
         assert result.iterations == iterations
         assert result.energy.total == total
+
+    def test_iterations_flat_under_refinement(self):
+        params = nw.ModelParams(1.0, 0.0)
+        counts = []
+        for n_points in (1024, 4096, 16384):
+            grid = nw.make_grid(40.0, n_points)
+            result = nw.minimize(nw.reference_profile(grid, params))
+            assert result.converged
+            counts.append(result.iterations)
+        assert max(counts) - min(counts) <= 1, counts
+
+    def test_iterations_bounded_over_bench_grid(self):
+        for nu in BENCH_NUS:
+            for h in BENCH_HS:
+                result = nw.solve_cell(nu, h, None, 40.0, 1024)
+                assert result.converged, (nu, h)
+                assert result.iterations <= 10, (nu, h, result.iterations)
 
     def test_small_domain_rejected(self):
         grid = nw.make_grid(1.5, 64)
@@ -82,6 +105,17 @@ class TestMinimize:
         result = nw.minimize(nw.reference_profile(grid, params),
                              nw.SolveOptions(max_iter=3))
         assert not result.converged
+        assert result.iterations == 3
+        assert result.residual_sup > 1e-6
+
+    def test_line_search_stall_reported_not_raised(self, monkeypatch):
+        grid = nw.make_grid(20.0, 512)
+        params = nw.ModelParams(1.0, 0.0)
+        monkeypatch.setattr(minimize_module, "energy_delta",
+                            lambda *args: np.inf)
+        result = nw.minimize(nw.reference_profile(grid, params))
+        assert not result.converged
+        assert result.iterations == 0
         assert result.residual_sup > 1e-6
 
     def test_shifted_initialization_same_wall(self):
@@ -96,6 +130,19 @@ class TestMinimize:
         assert r1.converged and r2.converged
         assert np.max(np.abs(r1.profile.values - r2.profile.values)) <= 1e-4
 
+    def test_centered_by_construction(self):
+        grid = nw.make_grid(20.0, 1024)
+        params = nw.ModelParams(2.0, 0.3)
+        ref = nw.reference_profile(grid, params)
+        shifted = np.interp(grid.points + 7.5 * grid.spacing, grid.points, ref.values)
+        shifted[0] = params.left_plateau
+        shifted[-1] = params.right_plateau
+        result = nw.minimize(nw.Profile(grid, shifted, params))
+        v = result.profile.values
+        assert result.converged
+        assert v[grid.center_index] == np.pi / 2
+        assert np.max(np.abs(v + v[::-1] - np.pi)) == 0.0
+
     def test_h_near_one_limit(self):
         grid = nw.make_grid(20.0, 1024)
         params = nw.ModelParams(1.0, 1.0 - 1e-3)
@@ -105,42 +152,44 @@ class TestMinimize:
         assert amplitude == pytest.approx(np.pi - 2 * params.theta_h, abs=1e-12)
         assert result.energy.total < 1e-2
 
-    def test_rearrangement_preprocess_flag(self, monkeypatch):
+
+class TestPrecondition:
+    @pytest.mark.parametrize("nu, h", [(0.1, 0.99), (1.0, 0.0), (10.0, 0.3)])
+    def test_matches_scipy_dst(self, nu, h):
         grid = nw.make_grid(20.0, 512)
-        params = nw.ModelParams(1.0, 0.0)
-        ref = nw.reference_profile(grid, params)
-        r_on = nw.minimize(ref)
-        # a period beyond the iteration budget never rearranges
-        monkeypatch.setattr(minimize_module, "REARRANGE_PERIOD", 10 ** 9)
-        r_off = nw.minimize(ref)
-        assert r_on.converged and r_off.converged
-        assert r_on.iterations != r_off.iterations
-        assert np.max(np.abs(r_on.profile.values - r_off.profile.values)) <= 1e-4
+        params = nw.ModelParams(nu, h)
+        symbol = _dirichlet_symbol(grid, params)
+        rng = np.random.default_rng(3)
+        r = rng.normal(size=grid.n_samples)
+        r[0] = r[-1] = 0.0
+        want = scipy.fft.idst(scipy.fft.dst(r[1:-1], type=1) / symbol[1:-1], type=1)
+        got = _precondition(r, symbol)
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert np.max(np.abs(got[1:-1] - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_recenter_perturbation_reported_not_retried(self, monkeypatch):
-        # a recentering that perturbs the interior pushes the residual past
-        # tol; the solve reports that, within its budget, and descends no more
-        grid = nw.make_grid(10.0, 256)
-        params = nw.ModelParams(1.0, 0.0)
-        plain = nw.minimize(nw.reference_profile(grid, params))
-        real_recenter = minimize_module.recenter
-        calls = []
+    @pytest.mark.parametrize("m", [1, 2, 37, 255, 511])
+    def test_sine_mode_divided_by_symbol(self, m):
+        grid = nw.make_grid(20.0, 512)
+        params = nw.ModelParams(1.0, 0.3)
+        symbol = _dirichlet_symbol(grid, params)
+        j = np.arange(grid.n_samples)
+        mode = np.sin(np.pi * m * j / grid.n_points)
+        mode[0] = mode[-1] = 0.0
+        got = _precondition(mode, symbol)
+        # FFT rounding leaks ~eps sqrt(n) of the unit mode into the others,
+        # which the smallest symbol divides least
+        assert np.max(np.abs(got - mode / symbol[m])) <= 1e-13 / symbol.min()
 
-        def perturbing_recenter(p):
-            out = real_recenter(p)
-            x = p.grid.points
-            bump = np.exp(-(x - 3.0) ** 2) - np.exp(-(x + 3.0) ** 2)
-            out = out.with_values(out.values + 1e-3 * bump)
-            calls.append(out)
-            return out
-
-        monkeypatch.setattr(minimize_module, "recenter", perturbing_recenter)
-        result = nw.minimize(nw.reference_profile(grid, params))
-        assert len(calls) == 1
-        assert not result.converged
-        assert result.residual_sup > nw.SolveOptions().tol
-        assert result.profile is calls[0]
-        assert result.iterations == plain.iterations
+    def test_symbol_is_the_discrete_linearized_operator(self):
+        grid = nw.make_grid(20.0, 512)
+        params = nw.ModelParams(2.0, 0.5)
+        symbol = _dirichlet_symbol(grid, params)
+        c2 = params.cos_theta_h ** 2
+        m = 5
+        k = np.pi * m / (2.0 * grid.half_length)
+        discrete_k2 = 4.0 / grid.spacing ** 2 * np.sin(np.pi * m / (2 * grid.n_points)) ** 2
+        assert symbol[m] == pytest.approx(discrete_k2 + params.nu / 2 * c2 * k + c2,
+                                          rel=1e-14)
 
 
 class TestRecenter:
