@@ -229,94 +229,28 @@ def _layer_widths(seg_lo, seg_hi, seg_w, levels):
     the level.  Between consecutive levels mu is linear, so (levels, mu_plus,
     mu_at) is a complete description of the distribution function.
 
-    mu_plus = done + (anchor - slope * t): slope and anchor sum w / (hi - lo)
-    and w hi / (hi - lo) over the segments straddling t, done the widths
-    below t.  Each is a cumulative sum over one event sequence sweeping down
-    the levels (per level: entries in descending argsort order of seg_hi,
-    exits likewise of seg_lo, then the flat segments' jump), so np.cumsum
-    rounds every sum exactly as a loop over that sweep would.
+    mu_plus is the sum of three parts: the widths of the sloped segments with
+    lo >= t, the widths of the flat segments above t, and anchor - slope * t
+    over the sloped segments straddling t, where slope and anchor sum
+    w / (hi - lo) and w hi / (hi - lo).  The straddling sums come from one
+    cumulative sum over entries (at hi) and exits (at lo) sorted by level,
+    exits first on ties, so the running sums hold only the straddling set.
     """
-    n = seg_lo.size
-    n_levels = levels.size
     flat = seg_hi <= seg_lo
-    order_hi = np.argsort(seg_hi)[::-1].astype(np.int32)
-    order_lo = np.argsort(seg_lo)[::-1].astype(np.int32)
-    hi_sorted = seg_hi[order_hi[::-1]]   # ascending
-    lo_sorted = seg_lo[order_lo[::-1]]
-    rank = np.arange(1, n + 1, dtype=np.int32)   # after a leading zero
-    # an entry follows the exits at higher levels, an exit the entries at
-    # its level and above
-    pos_hi = _count_above(lo_sorted, hi_sorted[::-1], "right", rank)
-    pos_lo = _count_above(hi_sorted, lo_sorted[::-1], "left", rank)
-    read = _count_above(hi_sorted, levels, "left")
-    read += _count_above(lo_sorted, levels, "left")
-    del hi_sorted, lo_sorted
-    events = np.empty(2 * n + 1)
-    events[0] = 0.0
+    lo, hi, w = seg_lo[~flat], seg_hi[~flat], seg_w[~flat]
 
-    def running_sum(per_segment):
-        events[pos_hi] = per_segment[order_hi]
-        exits = per_segment[order_lo]
-        events[pos_lo] = np.negative(exits, out=exits)
-        del exits
-        return np.cumsum(events, out=events)[read]
+    def at_or_above(keys, values, side="right"):
+        """Sum of values over keys >= t, or > t with side="left"."""
+        order = np.argsort(-keys, kind="stable")
+        sums = np.insert(np.cumsum(values[order], axis=0), 0, 0.0, axis=0)
+        return sums[np.searchsorted(-keys[order], -levels, side)]
 
-    slopes = seg_hi - seg_lo
-    np.divide(seg_w, slopes, out=slopes, where=~flat)
-    slopes[flat] = 0.0
-    slope_t = running_sum(slopes)
-    slope_t *= levels
-    slopes *= seg_hi
-    mu_plus = running_sum(slopes)
-    mu_plus -= slope_t   # anchor - slope * t
-    del events, slopes, pos_hi, pos_lo, read, slope_t
-
-    jump = np.zeros(n_levels)   # np.add.at adds in index order
-    flat_j = order_hi[flat[order_hi]]
-    np.add.at(jump, _count_above(levels[::-1], seg_hi[flat_j], "right"), seg_w[flat_j])
-    del flat_j, order_hi
-
-    # done: per level, the widths of the exiting segments, then the jump
-    lo_sorted = seg_lo[order_lo[::-1]]
-    done = np.empty(n + n_levels + 1)
-    done[0] = 0.0
-    widths = seg_w[order_lo]
-    widths[flat[order_lo]] = 0.0
-    done[_count_above(levels[::-1], lo_sorted[::-1], "right", rank)] = widths
-    del widths, order_lo, rank
-    jump_pos = _count_above(lo_sorted, levels, "left",
-                            np.arange(1, n_levels + 1, dtype=np.int32))
-    del lo_sorted
-    done[jump_pos] = jump
-    np.cumsum(done, out=done)
-    jump_pos -= 1
-    mu_plus += done[jump_pos]   # done + (anchor - slope * t)
-    return mu_plus, mu_plus + jump
-
-
-def _count_above(ascending, values, side, offset=None):
-    """int32 count of entries above (side="right") or at or above ("left")
-    each value, plus offset."""
-    out = np.searchsorted(ascending, values, side=side).astype(np.int32)
-    np.subtract(ascending.size, out, out=out)
-    if offset is not None:
-        out += offset
-    return out
-
-
-def _invert_widths(levels, mu_plus, mu_at, targets):
-    """Level whose super-level set has each target width; a target inside a
-    flat stretch's jump gets its level, one between levels is interpolated."""
-    idx = np.searchsorted(mu_at, targets, side="left")
-    i = np.clip(idx, 1, levels.size - 1)
-    m0, m1 = mu_at[i - 1], mu_plus[i]
-    t0, t1 = levels[i - 1], levels[i]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        between = t1 + (t0 - t1) * (m1 - targets) / (m1 - m0)
-    out = np.where((targets >= m1) | (m1 <= m0), t1, between)
-    out[idx == 0] = levels[0]
-    out[idx >= levels.size] = 0.0
-    return out
+    slope = np.concatenate([-w, w]) / np.tile(hi - lo, 2)   # exits, entries
+    events = np.column_stack([slope, slope * np.tile(hi, 2)])
+    straddle = at_or_above(np.concatenate([lo, hi]), events)
+    part = at_or_above(lo, w) + (straddle[:, 1] - straddle[:, 0] * levels)
+    mu_plus = part + at_or_above(seg_hi[flat], seg_w[flat], "left")
+    return mu_plus, part + at_or_above(seg_hi[flat], seg_w[flat])
 
 
 def symmetrize_rearrange(p: Profile) -> Profile:
@@ -355,7 +289,9 @@ def symmetrize_rearrange(p: Profile) -> Profile:
     seg_lo, seg_hi, seg_w, levels = _folded_segments(v, grid, params)
     mu_plus, mu_at = _layer_widths(seg_lo, seg_hi, seg_w, levels)
 
-    t_out = _invert_widths(levels, mu_plus, mu_at, 2.0 * grid.points[c:])
+    # a target inside a flat stretch's jump [mu_plus, mu_at] maps to its level
+    widths = np.column_stack([mu_plus, mu_at]).ravel()
+    t_out = np.interp(2.0 * grid.points[c:], widths, np.repeat(levels, 2))
     t_out = np.clip(t_out, 0.0, np.pi / 2 - params.theta_h)
     t_out = np.minimum.accumulate(t_out)
 

@@ -121,27 +121,38 @@ def emit(obj: Union[SolveResult, SweepTable], format: str, path: str) -> None:
 
 
 def load_result(path: str) -> SolveResult:
-    """Reconstruct a SolveResult from its JSON form; bit-exact round trip."""
+    """Reconstruct a SolveResult from its JSON form; bit-exact round trip.
+
+    Raises:
+        OSError: unreadable file, message names the path.
+        ValueError: not a well-formed solve result, message names the path.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
     except OSError as exc:
         raise OSError(f"cannot read from {path!r}: {exc}") from exc
-    if doc.get("kind") != "solve_result":
+    except ValueError as exc:
+        raise ValueError(f"{path!r} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("kind") != "solve_result":
         raise ValueError(f"{path!r} does not contain a solve result")
-    grid = make_grid(doc["grid"]["half_length"], doc["grid"]["n_points"])
-    params = ModelParams(doc["params"]["nu"], doc["params"]["h"])
-    profile = Profile(grid, np.array(doc["profile"], dtype=float), params)
-    e = doc["energy"]
-    energy = EnergyBreakdown(e["exchange"], e["anisotropy"], e["stray"], e["total"])
-    return SolveResult(
-        profile=profile,
-        energy=energy,
-        residual_sup=doc["residual_sup"],
-        iterations=doc["iterations"],
-        converged=doc["converged"],
-        tail_amplitude=_load_cell("tail_amplitude", doc["tail_amplitude"]),
-    )
+    try:
+        grid = make_grid(doc["grid"]["half_length"], doc["grid"]["n_points"])
+        params = ModelParams(doc["params"]["nu"], doc["params"]["h"])
+        profile = Profile(grid, np.array(doc["profile"], dtype=float), params)
+        e = doc["energy"]
+        energy = EnergyBreakdown(e["exchange"], e["anisotropy"], e["stray"],
+                                 e["total"])
+        return SolveResult(
+            profile=profile,
+            energy=energy,
+            residual_sup=doc["residual_sup"],
+            iterations=doc["iterations"],
+            converged=_load_cell("converged", doc["converged"]),
+            tail_amplitude=_load_cell("tail_amplitude", doc["tail_amplitude"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path!r} holds a malformed solve result: {exc!r}") from exc
 
 
 def load_table(path: str) -> SweepTable:
@@ -158,7 +169,7 @@ def load_table(path: str) -> SweepTable:
         parsed = doc["rows"]
     else:
         lines = [ln for ln in text.splitlines() if ln]
-        header = lines[0].split(",")
+        header = lines[0].split(",") if lines else []
         if tuple(header) != SweepTable.COLUMNS:
             raise ValueError(f"{path!r} has unexpected CSV header {header}")
         parsed = []

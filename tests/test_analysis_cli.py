@@ -228,6 +228,41 @@ class TestEmitLoad:
         with pytest.raises(ValueError):
             nw.load_table(path)
 
+    def test_empty_csv_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty.csv"):
+            nw.load_table(str(path))
+
+    @staticmethod
+    def _edited_result(small_solve, path, edit):
+        nw.emit(small_solve, "json", str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_result_without_grid_rejected_naming_path(self, small_solve, tmp_path,
+                                                      capsys):
+        path = self._edited_result(small_solve, tmp_path / "nogrid.json",
+                                   lambda doc: doc.pop("grid"))
+        with pytest.raises(ValueError, match="nogrid.json"):
+            nw.load_result(path)
+        assert main(["verify", "--in", path]) == 1
+        assert "nogrid.json" in capsys.readouterr().err
+
+    def test_result_not_json_rejected_naming_path(self, tmp_path):
+        path = tmp_path / "garbled.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="garbled.json"):
+            nw.load_result(str(path))
+
+    def test_result_string_converged_rejected_naming_path(self, small_solve, tmp_path):
+        path = self._edited_result(small_solve, tmp_path / "strflag.json",
+                                   lambda doc: doc.update(converged="false"))
+        with pytest.raises(ValueError, match="strflag.json"):
+            nw.load_result(path)
+
     def test_table_json_round_trip(self, tmp_path):
         table = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)
         path = tmp_path / "sweep.json"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import neelwall as nw
 from neelwall.energy import (
     _folded_segments,
-    _invert_widths,
     _layer_widths,
     clamp_values,
     energy_delta,
@@ -265,61 +264,15 @@ class TestSymmetrizeRearrange:
         assert np.array_equal(once.values, twice.values)
 
 
-def _layer_widths_loop(seg_lo, seg_hi, seg_w, levels):
-    """Level-by-level sweep; the reference _layer_widths must match bit for bit."""
+def _layer_widths_direct(seg_lo, seg_hi, seg_w, levels):
+    """O(n * levels) reference: each sloped segment covers the fraction
+    (hi - t) / (hi - lo) of its width above t, a flat one all or nothing."""
     flat = seg_hi <= seg_lo
-    with np.errstate(divide="ignore"):
-        slopes = np.where(~flat, seg_w / (seg_hi - seg_lo), 0.0)
-    order_hi = np.argsort(seg_hi)[::-1]
-    order_lo = np.argsort(seg_lo)[::-1]
-
-    mu_plus = np.zeros(levels.size)
-    mu_at = np.zeros(levels.size)
-    i_hi = i_lo = 0
-    active_slope = 0.0
-    anchor = 0.0
-    done_width = 0.0
-    for m, t in enumerate(levels):
-        jump = 0.0
-        while i_hi < order_hi.size and seg_hi[order_hi[i_hi]] >= t:
-            j = order_hi[i_hi]
-            if not flat[j]:
-                active_slope += slopes[j]
-                anchor += slopes[j] * seg_hi[j]
-            elif seg_lo[j] == t:
-                jump += seg_w[j]
-            else:
-                done_width += seg_w[j]
-            i_hi += 1
-        while i_lo < order_lo.size and seg_lo[order_lo[i_lo]] >= t:
-            j = order_lo[i_lo]
-            if not flat[j]:
-                active_slope -= slopes[j]
-                anchor -= slopes[j] * seg_hi[j]
-                done_width += seg_w[j]
-            i_lo += 1
-        mu_plus[m] = done_width + (anchor - active_slope * t)
-        mu_at[m] = mu_plus[m] + jump
-        done_width += jump
-    return mu_plus, mu_at
-
-
-def _invert_widths_loop(levels, mu_plus, mu_at, targets):
-    """Per-radius inversion; the reference _invert_widths must match bit for bit."""
-    idx = np.searchsorted(mu_at, targets, side="left")
-    t_out = np.empty(targets.size)
-    for j, (w, i) in enumerate(zip(targets, idx)):
-        if i == 0:
-            t_out[j] = levels[0]
-        elif i >= levels.size:
-            t_out[j] = 0.0
-        elif w >= mu_plus[i]:
-            t_out[j] = levels[i]
-        else:
-            m0, m1 = mu_at[i - 1], mu_plus[i]
-            t0, t1 = levels[i - 1], levels[i]
-            t_out[j] = t1 if m1 <= m0 else t1 + (t0 - t1) * (m1 - w) / (m1 - m0)
-    return t_out
+    t = levels[:, None]
+    frac = np.clip((seg_hi - t) / np.where(flat, 1.0, seg_hi - seg_lo), 0.0, 1.0)
+    sloped = np.where(flat, 0.0, frac) @ seg_w
+    return (sloped + (flat & (seg_hi > t)) @ seg_w,
+            sloped + (flat & (seg_hi >= t)) @ seg_w)
 
 
 def _rearrangement_profiles(rng):
@@ -340,19 +293,17 @@ def _rearrangement_profiles(rng):
             yield g, params, v
 
 
-class TestVectorizedRearrangement:
-    """The vectorized layer widths and inversion reproduce the loops' bits."""
+class TestLayerWidths:
+    """The layer widths and the rearrangement agree with the direct sums."""
 
-    def test_layer_widths_match_loop_on_profiles(self):
+    def test_layer_widths_match_direct_on_profiles(self):
         rng = np.random.default_rng(21)
         for g, params, v in _rearrangement_profiles(rng):
             segs = _folded_segments(v, g, params)
-            want = _layer_widths_loop(*segs)
-            got = _layer_widths(*segs)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            for got, want in zip(_layer_widths(*segs), _layer_widths_direct(*segs)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * 2 * g.half_length
 
-    def test_layer_widths_match_loop_with_ties_and_flat_levels(self):
+    def test_layer_widths_match_direct_with_ties_and_flat_levels(self):
         rng = np.random.default_rng(22)
         for _ in range(200):
             n = int(rng.integers(1, 40))
@@ -361,25 +312,30 @@ class TestVectorizedRearrangement:
             flat = rng.random(n) < 0.3
             seg_hi[flat] = seg_lo[flat]
             seg_w = rng.random(n)
-            # three flat segments at one level whose sum depends on its order
+            # three flat segments at one level
             seg_lo = np.concatenate([seg_lo, [0.4, 0.4, 0.4]])
             seg_hi = np.concatenate([seg_hi, [0.4, 0.4, 0.4]])
             seg_w = np.concatenate([seg_w, [0.1, 0.2, 0.3]])
             levels = np.unique(np.concatenate([seg_lo, seg_hi, [0.0, 1.0]]))[::-1]
-            want = _layer_widths_loop(seg_lo, seg_hi, seg_w, levels)
             got = _layer_widths(seg_lo, seg_hi, seg_w, levels)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+            want = _layer_widths_direct(seg_lo, seg_hi, seg_w, levels)
+            bound = 1e-12 * seg_w.sum()
+            assert np.max(np.abs(got[0] - want[0])) <= bound
+            assert np.max(np.abs(got[1] - want[1])) <= bound
 
-    def test_inversion_matches_loop(self):
+    def test_rearrangement_matches_direct_inversion(self):
         rng = np.random.default_rng(23)
         for g, params, v in _rearrangement_profiles(rng):
-            levels = _folded_segments(v, g, params)[3]
-            mu_plus, mu_at = _layer_widths(*_folded_segments(v, g, params))
-            targets = 2.0 * g.points[g.center_index:]
-            assert np.array_equal(
-                _invert_widths(levels, mu_plus, mu_at, targets),
-                _invert_widths_loop(levels, mu_plus, mu_at, targets))
+            got = nw.symmetrize_rearrange(nw.Profile(g, v, params)).values
+            segs = _folded_segments(v, g, params)
+            mu_plus, mu_at = _layer_widths_direct(*segs)
+            c = g.center_index
+            t = np.interp(2.0 * g.points[c:], np.column_stack([mu_plus, mu_at]).ravel(),
+                          np.repeat(segs[3], 2))
+            t = np.minimum.accumulate(np.clip(t, 0.0, np.pi / 2 - params.theta_h))
+            want = params.theta_h + t
+            want[0] = np.pi / 2
+            assert np.max(np.abs(got[c:] - want)) <= 1e-12
 
 
 class TestSinMidpoint:

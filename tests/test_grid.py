@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import neelwall as nw
 
@@ -90,6 +91,18 @@ class TestReferenceProfile:
         defect = np.max(np.abs(ref.values + ref.values[::-1] - np.pi))
         assert defect <= 1e-14
         assert ref.is_pinned()
+
+    @pytest.mark.parametrize("half_length, n", [(3.0, 10), (5.0, 16), (10.0, 256)])
+    def test_matches_adaptive_quadrature(self, half_length, n):
+        # coarse grids included: their pieces of the bump integral are wide
+        g = nw.make_grid(half_length, n)
+        bump = lambda t: np.exp(-1.0 / (1.0 - t * t))
+        total = quad(bump, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)[0]
+        sigma = np.array([np.sign(x) * quad(bump, 0.0, min(abs(x), 1.0),
+                                            epsabs=1e-14, epsrel=1e-13)[0]
+                          for x in g.points]) / total
+        ref = nw.reference_profile(g, nw.ModelParams(1.0, 0.0))
+        assert np.max(np.abs(ref.values - (np.pi / 2) * (1.0 - sigma))) <= 1e-13
 
     def test_domain_too_small(self):
         g = nw.make_grid(1.5, 64)
