@@ -45,6 +45,8 @@ class VerificationReport:
 def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationReport:
     """Run every profile check on a converged solve and aggregate margins.
 
+    The decay report is the one the result carries, when it has one.
+
     Raises:
         ValueError: result not converged.
     """
@@ -68,7 +70,7 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
     )
 
     try:
-        decay = decay_amplitude(p)
+        decay = result.decay or decay_amplitude(p)
     except ValueError:
         decay = None  # profile fails the decay preconditions (negative control)
 

@@ -7,6 +7,7 @@ verification, 1 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .analysis import (
 )
 from .green import green_decay_coeff, green_quadrature
 from .grid import ModelParams
-from .io import emit, load_result, _encode, _fmt
+from .io import emit, load_result
 from .minimize import SolveOptions
 
 
@@ -75,21 +76,21 @@ def _cmd_solve(args) -> int:
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
     result = solve_cell(args.nu, args.h, opts, args.half_length, args.points)
     print(f"converged: {result.converged}  iterations: {result.iterations}  "
-          f"residual_sup: {_fmt(result.residual_sup)}")
-    print(f"energy: total {_fmt(result.energy.total)}  "
-          f"(exchange {_fmt(result.energy.exchange)}, "
-          f"anisotropy {_fmt(result.energy.anisotropy)}, "
-          f"stray {_fmt(result.energy.stray)})")
+          f"residual_sup: {result.residual_sup}")
+    print(f"energy: total {result.energy.total}  "
+          f"(exchange {result.energy.exchange}, "
+          f"anisotropy {result.energy.anisotropy}, "
+          f"stray {result.energy.stray})")
     if result.converged:
         report = verify(result, tol=args.tol)
         print(f"monotone_strict: {report.monotone_strict}  "
-              f"symmetry_defect: {_fmt(report.symmetry_defect)}  "
+              f"symmetry_defect: {report.symmetry_defect}  "
               f"range_ok: {report.range_ok}")
         if report.decay is not None:
-            print(f"wall_width: {_fmt(wall_width(result.profile))}  "
-                  f"tail amplitude: multipole {_fmt(report.decay.amplitude_multipole)}, "
-                  f"tail fit {_fmt(report.decay.amplitude_tailfit)}, "
-                  f"exponent {_fmt(report.decay.exponent_fit)}")
+            print(f"wall_width: {wall_width(result.profile)}  "
+                  f"tail amplitude: multipole {report.decay.amplitude_multipole}, "
+                  f"tail fit {report.decay.amplitude_tailfit}, "
+                  f"exponent {report.decay.exponent_fit}")
     if args.out:
         emit(result, "json", args.out)
         print(f"wrote {args.out}")
@@ -104,15 +105,16 @@ def _cmd_green(args) -> int:
         "kind": "green_samples",
         "params": {"nu": args.nu, "h": args.h},
         "decay_coeff": green_decay_coeff(params),
-        "x": list(xs),
+        "x": xs.tolist(),
         "g": gs,
     }
+    text = json.dumps(doc, allow_nan=False)
     if args.out:
         with open(args.out, "w") as f:
-            f.write(_encode(doc) + "\n")
+            f.write(text + "\n")
         print(f"wrote {args.out}")
     else:
-        print(_encode(doc))
+        print(text)
     return 0
 
 
@@ -149,9 +151,9 @@ def _cmd_verify(args) -> int:
     for name, passed in checks.items():
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
         ok = ok and passed
-    exponent = _fmt(report.decay.exponent_fit) if report.decay else "n/a"
-    print(f"symmetry_defect: {_fmt(report.symmetry_defect)}  "
-          f"monotone_margin: {_fmt(report.monotone_margin)}  "
+    exponent = report.decay.exponent_fit if report.decay else "n/a"
+    print(f"symmetry_defect: {report.symmetry_defect}  "
+          f"monotone_margin: {report.monotone_margin}  "
           f"exponent_fit: {exponent}")
     return 0 if ok else 2
 

@@ -1,14 +1,17 @@
 """JSON and CSV serialization for solve results and sweep tables.
 
-Floats are written with 17 significant digits, so every value round-trips
-bit-exactly through the loader.  Output is deterministic: identical inputs
-produce byte-identical files.
+Every file is written by the standard library's json module and every value
+in it is a JSON scalar: floats in Python's shortest round-trip form, so each
+loads back bit-exactly, and null for NaN and the infinities, which strict
+JSON cannot hold.  A CSV cell is the JSON text of its scalar.  Output is
+deterministic: identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from typing import Union
 
 import numpy as np
@@ -18,35 +21,12 @@ from .energy import EnergyBreakdown
 from .grid import ModelParams, Profile, make_grid
 from .minimize import SolveResult
 
-
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "null"
-    if math.isinf(x):
-        return "null"
-    return format(float(x), ".17g")
+_ENERGY_PARTS = tuple(f.name for f in fields(EnergyBreakdown))
 
 
-def _encode(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  "{key}": {_encode(val, indent + 1).lstrip()}'
-            for key, val in obj.items()
-        )
-        return f"{pad}{{\n{items}\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        parts = ", ".join(_encode(v, 0) for v in obj)
-        return f"{pad}[{parts}]"
-    if isinstance(obj, (bool, np.bool_)):
-        return pad + ("true" if obj else "false")
-    if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return pad + _fmt(float(obj))
-    if obj is None:
-        return pad + "null"
-    return pad + json.dumps(obj)
+def _finite_or_none(x):
+    """A field as its JSON scalar: null stands for every non-finite float."""
+    return x if math.isfinite(x) else None
 
 
 def result_to_dict(result: SolveResult) -> dict:
@@ -55,42 +35,30 @@ def result_to_dict(result: SolveResult) -> dict:
         "kind": "solve_result",
         "params": {"nu": p.params.nu, "h": p.params.h},
         "grid": {"half_length": p.grid.half_length, "n_points": p.grid.n_points},
-        "profile": list(p.values),
-        "energy": {
-            "exchange": result.energy.exchange,
-            "anisotropy": result.energy.anisotropy,
-            "stray": result.energy.stray,
-            "total": result.energy.total,
-        },
-        "residual_sup": result.residual_sup,
+        "profile": p.values.tolist(),
+        "energy": {k: _finite_or_none(getattr(result.energy, k))
+                   for k in _ENERGY_PARTS},
+        "residual_sup": _finite_or_none(result.residual_sup),
         "iterations": result.iterations,
         "converged": result.converged,
-        "tail_amplitude": result.tail_amplitude,
+        "tail_amplitude": _finite_or_none(result.tail_amplitude),
     }
+
+
+def _row_to_dict(row: SweepRow) -> dict:
+    return {col: _finite_or_none(getattr(row, col)) for col in SweepTable.COLUMNS}
 
 
 def table_to_csv(table: SweepTable) -> str:
     lines = [",".join(SweepTable.COLUMNS)]
     for r in table.rows:
-        lines.append(",".join(_csv_cell(col, getattr(r, col))
-                              for col in SweepTable.COLUMNS))
+        lines.append(",".join(json.dumps(cell, allow_nan=False)
+                              for cell in _row_to_dict(r).values()))
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(col: str, value) -> str:
-    if col == "converged":
-        return "true" if value else "false"
-    return _fmt(value)
-
-
 def table_to_dict(table: SweepTable) -> dict:
-    return {
-        "kind": "sweep_table",
-        "rows": [
-            {col: getattr(r, col) for col in SweepTable.COLUMNS}
-            for r in table.rows
-        ],
-    }
+    return {"kind": "sweep_table", "rows": [_row_to_dict(r) for r in table.rows]}
 
 
 def emit(obj: Union[SolveResult, SweepTable], format: str, path: str) -> None:
@@ -107,10 +75,10 @@ def emit(obj: Union[SolveResult, SweepTable], format: str, path: str) -> None:
     if isinstance(obj, SolveResult):
         if format != "json":
             raise ValueError("solve results serialize to JSON only")
-        text = _encode(result_to_dict(obj)) + "\n"
+        text = json.dumps(result_to_dict(obj), allow_nan=False) + "\n"
     elif isinstance(obj, SweepTable):
         text = (table_to_csv(obj) if format == "csv"
-                else _encode(table_to_dict(obj)) + "\n")
+                else json.dumps(table_to_dict(obj), allow_nan=False) + "\n")
     else:
         raise ValueError(f"cannot emit object of type {type(obj).__name__}")
     try:
@@ -141,13 +109,12 @@ def load_result(path: str) -> SolveResult:
         params = ModelParams(doc["params"]["nu"], doc["params"]["h"])
         profile = Profile(grid, np.array(doc["profile"], dtype=float), params)
         e = doc["energy"]
-        energy = EnergyBreakdown(e["exchange"], e["anisotropy"], e["stray"],
-                                 e["total"])
+        energy = EnergyBreakdown(*(_load_cell(k, e[k]) for k in _ENERGY_PARTS))
         return SolveResult(
             profile=profile,
             energy=energy,
-            residual_sup=doc["residual_sup"],
-            iterations=doc["iterations"],
+            residual_sup=_load_cell("residual_sup", doc["residual_sup"]),
+            iterations=_load_cell("iterations", doc["iterations"]),
             converged=_load_cell("converged", doc["converged"]),
             tail_amplitude=_load_cell("tail_amplitude", doc["tail_amplitude"]),
         )
@@ -156,44 +123,50 @@ def load_result(path: str) -> SolveResult:
 
 
 def load_table(path: str) -> SweepTable:
-    """Read a sweep table back from CSV or JSON."""
+    """Read a sweep table back from CSV or JSON.
+
+    Raises:
+        OSError: unreadable file, message names the path.
+        ValueError: not a well-formed sweep table, message names the path.
+    """
     try:
         with open(path) as f:
             text = f.read()
     except OSError as exc:
         raise OSError(f"cannot read from {path!r}: {exc}") from exc
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        if doc.get("kind") != "sweep_table":
-            raise ValueError(f"{path!r} does not contain a sweep table")
-        parsed = doc["rows"]
-    else:
-        lines = [ln for ln in text.splitlines() if ln]
-        header = lines[0].split(",") if lines else []
-        if tuple(header) != SweepTable.COLUMNS:
-            raise ValueError(f"{path!r} has unexpected CSV header {header}")
-        parsed = []
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"{path!r} has a CSV row of {len(cells)} cells, "
-                                 f"expected {len(header)}")
-            parsed.append({col: _CSV_LITERALS.get(cell, cell)
-                           for col, cell in zip(header, cells)})
-    return SweepTable(rows=[
-        SweepRow(**{col: _load_cell(col, row[col]) for col in SweepTable.COLUMNS})
-        for row in parsed])
-
-
-_CSV_LITERALS = {"null": None, "true": True, "false": False}
+    try:
+        if text.lstrip().startswith("{"):
+            doc = json.loads(text)
+            if doc.get("kind") != "sweep_table":
+                raise ValueError("no sweep table")
+            parsed = doc["rows"]
+        else:
+            lines = [ln for ln in text.splitlines() if ln]
+            header = lines[0].split(",") if lines else []
+            if tuple(header) != SweepTable.COLUMNS:
+                raise ValueError(f"unexpected CSV header {header}")
+            parsed = []
+            for ln in lines[1:]:
+                cells = ln.split(",")
+                if len(cells) != len(header):
+                    raise ValueError(f"a CSV row of {len(cells)} cells, "
+                                     f"expected {len(header)}")
+                parsed.append({col: json.loads(cell)
+                               for col, cell in zip(header, cells)})
+        return SweepTable(rows=[
+            SweepRow(**{col: _load_cell(col, row[col]) for col in SweepTable.COLUMNS})
+            for row in parsed])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path!r} holds a malformed sweep table: {exc!r}") from exc
 
 
 def _load_cell(col: str, value):
-    """A parsed JSON or CSV value under its field's policy: nu and h are never
-    null, a null metric loads as NaN, and converged is a boolean."""
-    is_flag = col == "converged"
-    if is_flag != isinstance(value, bool) or (value is None and col in ("nu", "h")):
+    """A parsed JSON scalar under its field's policy: converged is a boolean,
+    iterations an integer, and every other field a number, where null loads
+    as NaN except in nu and h."""
+    kinds = {"converged": (bool,), "iterations": (int,)}.get(col, (int, float))
+    if value is None and float in kinds and col not in ("nu", "h"):
+        return math.nan
+    if type(value) not in kinds:
         raise ValueError(f"{col} cannot hold {value!r}")
-    if is_flag:
-        return value
-    return math.nan if value is None else float(value)
+    return float(value) if float in kinds else value

@@ -1,7 +1,11 @@
+import dataclasses
 import inspect
 import json
 import math
+import runpy
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import pytest
 import neelwall as nw
 from neelwall import analysis
 from neelwall.cli import build_parser, main
-from neelwall.io import result_to_dict, table_to_csv
+from neelwall.io import table_to_csv
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +232,26 @@ class TestEmitLoad:
         with pytest.raises(ValueError):
             nw.load_table(path)
 
+    MALFORMED_TABLES = {
+        "norows.json": '{"kind": "sweep_table"}',
+        "noh.json": json.dumps({"kind": "sweep_table", "rows": [
+            {"nu": 1.0, "energy_total": 1.0, "wall_width": 1.0,
+             "amplitude_multipole": 1.0, "amplitude_tailfit": 1.0,
+             "residual_sup": 1e-7, "converged": False}]}),
+        "truncated.json": '{"kind": "sweep_table", "rows": [',
+        "badcell.csv": (",".join(nw.SweepTable.COLUMNS)
+                        + "\n1,0,abc,1,1,1,1e-7,true\n"),
+        "listrows.json": '{"kind": "sweep_table", "rows": [[1, 0]]}',
+        "toplist.json": '[{"kind": "sweep_table", "rows": []}]',
+    }
+
+    @pytest.mark.parametrize("name", MALFORMED_TABLES)
+    def test_malformed_table_rejected_naming_path(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(self.MALFORMED_TABLES[name])
+        with pytest.raises(ValueError, match=name):
+            nw.load_table(str(path))
+
     def test_empty_csv_rejected_naming_path(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -263,6 +287,13 @@ class TestEmitLoad:
         with pytest.raises(ValueError, match="strflag.json"):
             nw.load_result(path)
 
+    def test_result_string_iterations_rejected_naming_path(self, small_solve,
+                                                           tmp_path):
+        path = self._edited_result(small_solve, tmp_path / "striter.json",
+                                   lambda doc: doc.update(iterations="7"))
+        with pytest.raises(ValueError, match="striter.json"):
+            nw.load_result(path)
+
     def test_table_json_round_trip(self, tmp_path):
         table = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)
         path = tmp_path / "sweep.json"
@@ -289,14 +320,16 @@ class TestEmitLoad:
         clone = nw.SolveResult(
             profile=small_solve.profile,
             energy=small_solve.energy,
-            residual_sup=small_solve.residual_sup,
+            residual_sup=math.nan,
             iterations=small_solve.iterations,
             converged=small_solve.converged,
             tail_amplitude=math.nan,
         )
         path = tmp_path / "result.json"
         nw.emit(clone, "json", str(path))
-        assert math.isnan(nw.load_result(str(path)).tail_amplitude)
+        loaded = nw.load_result(str(path))
+        assert math.isnan(loaded.tail_amplitude)
+        assert math.isnan(loaded.residual_sup)
 
 
 class TestCli:
@@ -357,6 +390,19 @@ class TestCli:
         assert code == 1
         assert "/no/such/dir/g.json" in capsys.readouterr().err
 
+    def test_solve_computes_one_decay_report(self, monkeypatch):
+        calls = []
+        decay = analysis.decay_amplitude
+
+        def counting_decay(p):
+            calls.append(p)
+            return decay(p)
+
+        monkeypatch.setattr(analysis, "decay_amplitude", counting_decay)
+        assert main(["solve", "--nu", "1", "--half-length", "20",
+                     "--points", "512"]) == 0
+        assert len(calls) == 1
+
     def test_budget_defaults_are_solve_options(self):
         defaults = nw.SolveOptions()
         parser = build_parser()
@@ -383,11 +429,48 @@ class TestCli:
 
 
 class TestSerializationFormat:
-    def test_floats_have_17_significant_digits(self, small_solve):
-        doc = result_to_dict(small_solve)
-        text = table_to_csv(nw.SweepTable(rows=[nw.SweepRow(
-            nu=1.0, h=0.0, energy_total=math.pi, wall_width=1.0,
-            amplitude_multipole=1.0, amplitude_tailfit=1.0,
-            residual_sup=1e-7, converged=True)]))
-        assert "3.1415926535897931" in text
-        assert float("3.1415926535897931") == math.pi
+    def test_floats_in_shortest_round_trip_form(self, tmp_path):
+        shortest = {"energy_total": "3.141592653589793",
+                    "wall_width": "0.30000000000000004",
+                    "residual_sup": "1e-07"}
+        row = nw.SweepRow(nu=1.0, h=0.0, energy_total=math.pi,
+                          wall_width=0.1 + 0.2, amplitude_multipole=1.0,
+                          amplitude_tailfit=1.0, residual_sup=1e-7,
+                          converged=True)
+        table = nw.SweepTable(rows=[row])
+        path = tmp_path / "sweep.json"
+        nw.emit(table, "json", str(path))
+        json_text = path.read_text()
+        csv_cells = dict(zip(nw.SweepTable.COLUMNS,
+                             table_to_csv(table).splitlines()[1].split(",")))
+        for col, text in shortest.items():
+            assert csv_cells[col] == text
+            assert f'"{col}": {text},' in json_text
+            assert float(text) == getattr(row, col)
+
+    def test_files_are_strict_json(self, small_solve, tmp_path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        nw.emit(dataclasses.replace(small_solve, tail_amplitude=math.nan),
+                "json", str(tmp_path / "result.json"))
+        failed = nw.SweepTable(rows=[nw.SweepRow(
+            nu=1.0, h=0.0, energy_total=math.nan, wall_width=math.nan,
+            amplitude_multipole=math.nan, amplitude_tailfit=math.nan,
+            residual_sup=math.inf, converged=False)])
+        nw.emit(failed, "json", str(tmp_path / "sweep.json"))
+        assert main(["green", "--nu", "1", "--samples", "3",
+                     "--out", str(tmp_path / "green.json")]) == 0
+        for name in ("result.json", "sweep.json", "green.json"):
+            json.loads((tmp_path / name).read_text(), parse_constant=reject)
+        for cell in table_to_csv(failed).splitlines()[1].split(","):
+            json.loads(cell, parse_constant=reject)
+
+
+class TestScripts:
+    def test_decay_study_prints_amplitudes(self, monkeypatch, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "decay_study.py"
+        monkeypatch.setattr(sys, "argv", [str(script), "--half-length", "20",
+                                          "--points", "512"])
+        runpy.run_path(str(script), run_name="__main__")
+        assert "amplitudes:" in capsys.readouterr().out
