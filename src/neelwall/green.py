@@ -4,10 +4,16 @@ Linearizing the equilibrium equation around the plateau angle theta_h gives
 
     L = -d^2/dx^2 + (nu/2) cos^2(theta_h) (-d^2/dx^2)^{1/2} + cos^2(theta_h),
 
-whose Fourier symbol is 1/green_hat(k).  The fundamental solution G of L has
-the closed-form integral representation evaluated by `green_quadrature`; it
-is positive, even, Lipschitz at the origin, and decays like
-green_decay_coeff / x^2.
+whose Fourier symbol is 1/green_hat(k).  The fundamental solution G of L is
+positive, even, Lipschitz at the origin, and decays like
+green_decay_coeff / x^2.  It has an integral representation over t in
+(0, inf) whose denominator factors as 4 (t^2 - r1)(t^2 - r2).  Partial
+fractions turn it into exponential integrals E1 at p sqrt(r1) and
+p sqrt(r2), p = |x| cos(theta_h), which `green_samples` evaluates for a
+whole grid of lags at once.  G(0), and the whole kernel near the double
+root at nu cos(theta_h) = 4 or for nu cos(theta_h) < 1e-3, come from
+`green_quadrature`, which integrates the same integral by composite
+Gauss-Legendre quadrature independently of the closed form and checks it.
 
 Writing the folded wall deviation rho - theta_h as L^{-1} of the nonlinear
 forcing f = f1 + f2 + f3 turns the x^{-2} tail amplitude into a charge times
@@ -19,11 +25,12 @@ entering the amplitude is the integral of f plus that corner term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import exp1
 
 from .fractional import (
     FieldSamples,
@@ -54,15 +61,39 @@ def green_decay_coeff(params: ModelParams) -> float:
     return params.nu / (2.0 * np.pi * params.cos_theta_h ** 2)
 
 
+# 1, 1/2, ..., 2^-47: panel edges graded toward t = 0 and u = 0
+_GRADED = 2.0 ** -np.arange(48.0)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _composite_rule(edges: np.ndarray, n: int):
+    """Nodes and weights of the n-point rule on each panel, one row per panel."""
+    nodes, weights = _gauss_legendre(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (1.0 + nodes), half * weights
+
+
 def green_quadrature(x: float, params: ModelParams) -> float:
-    """Fundamental solution by adaptive quadrature of its integral form.
+    """Fundamental solution by composite Gauss-Legendre quadrature of its
+    integral form:
 
     G(x) = (2 nu / pi) * int_0^inf t e^{-t |x| cos(theta_h)}
            / (nu^2 t^2 cos^2(theta_h) + 4 (t^2 - 1)^2) dt
 
-    The integrand peaks at t = 1 where the (t^2-1)^2 term vanishes, so the
-    range is split there; the infinite tail is handled by quad's own
-    transformation.  Relative accuracy target 1e-8.
+    [0, 2] is split at 2^-k (k < 48), which grades the panels into the
+    boundary layer of width 1/(|x| cos(theta_h)) at t = 0, and at 1 +- w 2^k
+    for every offset below 1, where w = clip(nu cos(theta_h) / 4, 1e-13, 0.5)
+    is the half-width of the integrand's peak at t = 1.  [2, inf) is mapped
+    by t = 2/u onto (0, 1], split at u = 2^-k.  The 24-point rule on every
+    panel gives the value, the 16-point rule on the same panels the error
+    estimate.  Relative accuracy target 1e-8.  The closed form behind
+    `green_samples` shares nothing with this function but the integrand's
+    constants, so each checks the other.
 
     Raises:
         RuntimeError: quadrature failed to converge to the target accuracy.
@@ -75,21 +106,22 @@ def green_quadrature(x: float, params: ModelParams) -> float:
         return (t * np.exp(-t * ax * c)
                 / (nu * nu * t * t * c * c + 4.0 * (t * t - 1.0) ** 2))
 
-    # the denominator's minimum at t = 1 has half-width ~ nu c / 4; cluster
-    # breakpoints there so narrow peaks (small nu) are resolved
     width = min(max(0.25 * nu * c, 1e-13), 0.5)
-    offsets = width * np.array([1.0, 10.0, 100.0, 1000.0])
-    left = sorted({p for p in 1.0 - offsets if 0.0 < p < 1.0})
-    right = sorted({p for p in 1.0 + offsets if 1.0 < p < 2.0})
+    offsets = width / _GRADED
+    offsets = offsets[offsets < 1.0]
+    t_edges = np.unique(np.concatenate([[0.0, 2.0], _GRADED,
+                                        1.0 - offsets, 1.0 + offsets]))
+    u_edges = np.concatenate([[0.0], _GRADED[::-1]])
 
-    head, err1 = quad(integrand, 0.0, 1.0, points=left or None,
-                      epsabs=0.0, epsrel=1e-10, limit=400)
-    mid, err2 = quad(integrand, 1.0, 2.0, points=right or None,
-                     epsabs=0.0, epsrel=1e-10, limit=400)
-    tail, err3 = quad(integrand, 2.0, np.inf,
-                      epsabs=1e-300, epsrel=1e-10, limit=400)
-    value = 2.0 * nu / np.pi * (head + mid + tail)
-    err = 2.0 * nu / np.pi * (err1 + err2 + err3)
+    def panel_sums(n):
+        t, wt = _composite_rule(t_edges, n)
+        u, wu = _composite_rule(u_edges, n)
+        return np.concatenate([(wt * integrand(t)).sum(axis=1),
+                               (wu * integrand(2.0 / u) * 2.0 / (u * u)).sum(axis=1)])
+
+    fine = panel_sums(24)
+    value = 2.0 * nu / np.pi * fine.sum()
+    err = 2.0 * nu / np.pi * np.abs(fine - panel_sums(16)).sum()
     if not np.isfinite(value) or err > 1e-8 * max(abs(value), 1e-300):
         raise RuntimeError(
             f"fundamental-solution quadrature did not converge at x={x}: "
@@ -98,18 +130,81 @@ def green_quadrature(x: float, params: ModelParams) -> float:
     return float(value)
 
 
+# The kernel is built by green_quadrature where the closed form loses digits:
+# within _DOUBLE_ROOT_BAND of nu c = 4, where r1 and r2 merge and
+# (I(r1) - I(r2)) / (r1 - r2) is 0/0 (at the band's edge the closed form is
+# within 1e-12 of the quadrature), and below nu c = _SMALL_NU_C, where G is
+# about nu c times smaller than the exp1 terms it is the difference of, so
+# the closed form's error grows like 2e-14 / (nu c).
+_DOUBLE_ROOT_BAND = 1e-4
+_SMALL_NU_C = 1e-3
+# |z| beyond which _pole_integral sums the asymptotic series of I
+_ASYMPTOTIC_Z = 64.0
+# (2j - 1)! for j = 8, ..., 1, highest order first
+_ASYMPTOTIC_COEFFS = np.array([math.factorial(2 * j - 1) for j in range(8, 0, -1)],
+                              dtype=float)
+
+
+def _pole_integral(z: np.ndarray) -> np.ndarray:
+    """I = int_0^inf t e^{-p t} / (t^2 - r) dt as a function of z = p sqrt(r):
+
+        I = (e^{-z} E1(-z) + e^{z} E1(z)) / 2        (Abramowitz & Stegun 5.1)
+
+    for complex z with Re z >= 0, r off the positive real axis.  Where
+    |z| > 64 it is the asymptotic series I = -sum_{j=1..8} (2j-1)! / z^{2j},
+    whose first neglected term is below 1e-13 of the sum and of its
+    imaginary part there.  The series never forms e^{z}, which overflows
+    beyond Re z = 709, and it avoids the cancellation between the two exp1
+    terms, each about 1/z where I is about 1/z^2.
+    """
+    out = np.empty_like(z)
+    far = np.abs(z) > _ASYMPTOTIC_Z
+    near = z[~far]
+    out[~far] = 0.5 * (np.exp(-near) * exp1(-near) + np.exp(near) * exp1(near))
+    y = 1.0 / (z[far] * z[far])
+    out[far] = -y * np.polyval(_ASYMPTOTIC_COEFFS, y)
+    return out
+
+
 @lru_cache(maxsize=8)
 def _green_kernel_cached(n_points: int, spacing: float, nu: float, h: float) -> np.ndarray:
     params = ModelParams(nu, h)
-    lags = np.arange(-n_points, n_points + 1) * spacing
-    half = np.array([green_quadrature(x, params) for x in lags[n_points:]])
+    c = params.cos_theta_h
+    lags = np.arange(n_points + 1) * spacing
+    if abs(nu * c - 4.0) < _DOUBLE_ROOT_BAND or nu * c < _SMALL_NU_C:
+        half = np.array([green_quadrature(x, params) for x in lags])
+    else:
+        # 4 t^4 + (nu^2 c^2 - 8) t^2 + 4 = 4 (t^2 - r1)(t^2 - r2) with
+        # r1 + r2 = 2 (1 - q), r1 r2 = 1 and r1 - r2 = 2 d; r2 is the root
+        # of modulus >= 1, so neither root is formed by cancellation
+        q = (nu * c) ** 2 / 8.0
+        d = np.sqrt(complex(q * (q - 2.0)))
+        r2 = 1.0 - q - d
+        roots = np.array([1.0 / r2, r2])
+        pole = _pole_integral(lags[1:, None] * c * np.sqrt(roots))
+        half = np.empty(n_points + 1)
+        half[0] = green_quadrature(0.0, params)
+        half[1:] = 2.0 * nu / np.pi * ((pole[:, 0] - pole[:, 1]) / (8.0 * d)).real
     kernel = np.concatenate([half[:0:-1], half])
     kernel.setflags(write=False)
     return kernel
 
 
 def green_samples(grid: Grid1D, params: ModelParams) -> np.ndarray:
-    """G sampled at every lag of the grid, cached per (grid, params)."""
+    """G sampled at every lag of the grid, cached per (grid, params).
+
+    Off x = 0, G is the closed form of its integral: with p = |x| cos(theta_h)
+    and r1, r2 the roots in t^2 of the integrand's denominator,
+
+        G(x) = (2 nu / pi) Re[(I(r1) - I(r2)) / (4 (r1 - r2))],
+
+    I as in `_pole_integral`, vectorized exp1 calls on complex arrays.
+    Its error against green_quadrature is below 1e-10 relative.
+    green_quadrature gives G(0), where the closed form is singular, and the
+    whole kernel where the closed form loses digits: when
+    |nu cos(theta_h) - 4| < 1e-4, where the roots merge, and when
+    nu cos(theta_h) < 1e-3.
+    """
     return _green_kernel_cached(grid.n_points, grid.spacing, params.nu, params.h)
 
 
@@ -264,8 +359,8 @@ def decay_amplitude(p: Profile) -> DecayReport:
 def convolve_green(f: FieldSamples, params: ModelParams) -> FieldSamples:
     """Discrete convolution with the sampled fundamental solution.
 
-    Trapezoid weights on the input; the kernel is green_quadrature sampled at
-    every lag (cached).  Reconstructs L^{-1} f on the grid.
+    Trapezoid weights on the input; the kernel is green_samples, G at every
+    lag (cached).  Reconstructs L^{-1} f on the grid.
     """
     grid = f.grid
     weighted = f.values * grid_constants(grid).trapezoid

@@ -10,6 +10,7 @@ monodomain angles pi - theta_h (left) and theta_h (right) at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,8 +55,9 @@ class Grid1D:
         return hash((self.half_length, self.n_points))
 
 
+@lru_cache(maxsize=8)
 def make_grid(half_length: float, n_points: int) -> Grid1D:
-    """Build a symmetric uniform grid.
+    """Build a symmetric uniform grid; one shared Grid1D per argument pair.
 
     Positions are computed as spacing * (i - n_points // 2) so that the center
     sample is exactly 0.0 and the grid is exactly mirror symmetric in floating

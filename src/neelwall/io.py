@@ -91,6 +91,9 @@ def emit(obj: Union[SolveResult, SweepTable], format: str, path: str) -> None:
 def load_result(path: str) -> SolveResult:
     """Reconstruct a SolveResult from its JSON form; bit-exact round trip.
 
+    Every profile sample must be a JSON number: a string, boolean or null
+    sample is rejected, not converted.
+
     Raises:
         OSError: unreadable file, message names the path.
         ValueError: not a well-formed solve result, message names the path.
@@ -107,7 +110,11 @@ def load_result(path: str) -> SolveResult:
     try:
         grid = make_grid(doc["grid"]["half_length"], doc["grid"]["n_points"])
         params = ModelParams(doc["params"]["nu"], doc["params"]["h"])
-        profile = Profile(grid, np.array(doc["profile"], dtype=float), params)
+        samples = doc["profile"]
+        if not set(map(type, samples)) <= {int, float}:
+            i = next(i for i, s in enumerate(samples) if type(s) not in (int, float))
+            raise ValueError(f"profile[{i}] cannot hold {samples[i]!r}")
+        profile = Profile(grid, np.array(samples, dtype=float), params)
         e = doc["energy"]
         energy = EnergyBreakdown(*(_load_cell(k, e[k]) for k in _ENERGY_PARTS))
         return SolveResult(
@@ -118,7 +125,7 @@ def load_result(path: str) -> SolveResult:
             converged=_load_cell("converged", doc["converged"]),
             tail_amplitude=_load_cell("tail_amplitude", doc["tail_amplitude"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path!r} holds a malformed solve result: {exc!r}") from exc
 
 
@@ -156,7 +163,7 @@ def load_table(path: str) -> SweepTable:
         return SweepTable(rows=[
             SweepRow(**{col: _load_cell(col, row[col]) for col in SweepTable.COLUMNS})
             for row in parsed])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path!r} holds a malformed sweep table: {exc!r}") from exc
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import runpy
 import sys
 import threading
@@ -293,6 +294,27 @@ class TestEmitLoad:
                                    lambda doc: doc.update(iterations="7"))
         with pytest.raises(ValueError, match="striter.json"):
             nw.load_result(path)
+
+    @pytest.mark.parametrize("sample", ["1.5707963267948966", True, None],
+                             ids=["string", "boolean", "null"])
+    def test_result_non_number_sample_rejected_naming_path(self, small_solve,
+                                                           tmp_path, sample):
+        path = self._edited_result(small_solve, tmp_path / "badsample.json",
+                                   lambda doc: doc["profile"].__setitem__(5, sample))
+        pattern = rf"badsample\.json.*profile\[5\] cannot hold {re.escape(repr(sample))}"
+        with pytest.raises(ValueError, match=pattern):
+            nw.load_result(path)
+
+    def test_result_huge_integer_rejected_naming_path(self, small_solve, tmp_path):
+        path = self._edited_result(small_solve, tmp_path / "hugeint.json",
+                                   lambda doc: doc["profile"].__setitem__(5, 10 ** 400))
+        with pytest.raises(ValueError, match="hugeint.json"):
+            nw.load_result(path)
+
+    def test_result_loads_onto_shared_grid(self, baseline, tmp_path):
+        path = tmp_path / "result.json"
+        nw.emit(baseline, "json", str(path))
+        assert nw.load_result(str(path)).profile.grid is nw.make_grid(40, 4096)
 
     def test_table_json_round_trip(self, tmp_path):
         table = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)

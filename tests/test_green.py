@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import sici
 
 import neelwall as nw
@@ -18,6 +24,27 @@ def green_fft_oracle(params, dx=0.005, n=2 ** 22):
     si, _ = sici(cutoff * xs)
     tail = (np.cos(cutoff * xs) / cutoff - xs * (np.pi / 2 - si)) / np.pi
     return xs, g[:n // 2 + 1] + tail
+
+
+def adaptive_green_quadrature(x, params):
+    """The same t-integral as green_quadrature by adaptive quad, split at the
+    peak t = 1 with breakpoints clustered around it; 1e-10 relative target."""
+    nu, c, ax = params.nu, params.cos_theta_h, abs(x)
+
+    def integrand(t):
+        return (t * np.exp(-t * ax * c)
+                / (nu * nu * t * t * c * c + 4.0 * (t * t - 1.0) ** 2))
+
+    width = min(max(0.25 * nu * c, 1e-13), 0.5)
+    offsets = width * np.array([1.0, 10.0, 100.0, 1000.0])
+    left = sorted({p for p in 1.0 - offsets if 0.0 < p < 1.0})
+    right = sorted({p for p in 1.0 + offsets if 1.0 < p < 2.0})
+    head = quad(integrand, 0.0, 1.0, points=left or None,
+                epsabs=0.0, epsrel=1e-10, limit=400)[0]
+    mid = quad(integrand, 1.0, 2.0, points=right or None,
+               epsabs=0.0, epsrel=1e-10, limit=400)[0]
+    tail = quad(integrand, 2.0, np.inf, epsabs=1e-300, epsrel=1e-10, limit=400)[0]
+    return 2.0 * nu / np.pi * (head + mid + tail)
 
 
 class TestGreenHat:
@@ -113,6 +140,68 @@ class TestGreenQuadrature:
         tail = 2.0 * nw.green_decay_coeff(params) / grid.half_length
         expected = nw.green_hat(0.0, params)
         assert mass_inside + tail == pytest.approx(expected, rel=1e-3)
+
+    @pytest.mark.parametrize("h", [0.0, 0.99])
+    @pytest.mark.parametrize("nu", [1e-6, 0.1, 1.0, 4.0, 100.0])
+    def test_matches_adaptive_quadrature(self, nu, h):
+        params = nw.ModelParams(nu, h)
+        for x in (0.0, 1e-4, 1.0, 50.0, 2560.0):
+            want = adaptive_green_quadrature(x, params)
+            assert nw.green_quadrature(x, params) == pytest.approx(want, rel=1e-9)
+
+
+class TestGreenSamples:
+    """The closed-form kernel against the independent quadrature."""
+
+    @staticmethod
+    def assert_matches_quadrature(grid, params, lags):
+        kernel = nw.green_samples(grid, params)
+        assert np.all(np.isfinite(kernel))
+        want = np.array([nw.green_quadrature(k * grid.spacing, params) for k in lags])
+        got = kernel[grid.n_points + lags]
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+        assert np.array_equal(kernel, kernel[::-1])
+
+    @pytest.mark.parametrize("nu, h", [
+        (1.0, 0.0), (0.5, 0.3), (2.0, 0.99),   # nu c < 4: complex roots
+        (5.0, 0.0), (10.0, 0.5), (1000.0, 0.0),  # nu c > 4: real roots
+        (3.9998, 0.0), (4.0002, 0.0),          # just outside the double-root band
+        (1e-3, 0.0),
+    ])
+    def test_matches_quadrature(self, nu, h):
+        grid = nw.make_grid(40.0, 4096)
+        lags = np.r_[0:9, 16:4096:64, 4096]
+        self.assert_matches_quadrature(grid, nw.ModelParams(nu, h), lags)
+
+    @pytest.mark.parametrize("nu, h", [(4.0, 0.0), (5.0, 0.6), (1e-6, 0.0)])
+    def test_quadrature_fallback(self, nu, h):
+        # nu cos(theta_h) = 4: r1 = r2 and the closed form is 0/0; at
+        # nu cos(theta_h) = 1e-6 it would be 2e-8 off near |x| c = 40
+        grid = nw.make_grid(40.0, 256)
+        self.assert_matches_quadrature(grid, nw.ModelParams(nu, h), np.arange(257))
+
+    @pytest.mark.parametrize("nu, h", [(1.0, 0.0), (3.0, 0.9), (100.0, 0.5)])
+    def test_coarse_long_grid(self, nu, h):
+        # lags up to 2000: Re(|x| c sqrt(r)) reaches 1936 at nu = 1, h = 0,
+        # where e^{|x| c sqrt(r)} would overflow
+        grid = nw.make_grid(1000.0, 256)
+        self.assert_matches_quadrature(grid, nw.ModelParams(nu, h), np.arange(257))
+
+    def test_origin_is_quadrature(self):
+        grid = nw.make_grid(40.0, 4096)
+        params = nw.ModelParams(1.3, 0.2)
+        assert nw.green_samples(grid, params)[grid.n_points] \
+            == nw.green_quadrature(0.0, params)
+
+
+def test_package_does_not_import_scipy_integrate():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import neelwall.cli, sys; print('scipy.integrate' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestApplyLinearizedOperator:

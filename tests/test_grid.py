@@ -17,6 +17,14 @@ class TestMakeGrid:
         g = nw.make_grid(40.0, 4096)
         assert g.spacing == 80.0 / 4096 == 0.01953125
 
+    def test_one_shared_grid_per_arguments(self):
+        # a stored wall loaded twice holds one grid, not two copies of it
+        g = nw.make_grid(40, 4096)
+        assert g is nw.make_grid(40.0, 4096)
+        assert not g.points.flags.writeable
+        with pytest.raises(ValueError):
+            g.points[0] = 0.0
+
     def test_rejects_odd_count(self):
         with pytest.raises(ValueError):
             nw.make_grid(1.0, 5)
