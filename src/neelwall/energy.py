@@ -27,7 +27,7 @@ import numpy as np
 
 from .fractional import (
     FieldSamples,
-    detrended_rfft,
+    detrended,
     grid_constants,
     half_laplacian_spectral_values,
 )
@@ -47,7 +47,7 @@ class EnergyBreakdown:
 def _stray_quadratic_form(u: np.ndarray, grid: Grid1D) -> float:
     """s * <u, halfLap u> over one period of the detrended extension, >= 0."""
     kw = grid_constants(grid).weighted_wavenumbers
-    uhat = detrended_rfft(u, grid)
+    uhat = np.fft.rfft(detrended(u, grid))
     return float(grid.spacing / grid.n_points * np.sum(kw * np.abs(uhat) ** 2))
 
 
@@ -68,86 +68,104 @@ def energy(p: Profile) -> EnergyBreakdown:
     return EnergyBreakdown(exchange, anisotropy, stray, exchange + anisotropy + stray)
 
 
-def energy_delta(v: np.ndarray, v_new: np.ndarray, grid: Grid1D,
-                 params: ModelParams) -> float:
-    """E(v_new) - E(v) without catastrophic cancellation.
+class LocalExpansion:
+    """The discrete energy near an iterate v: gradient, Hessian, exact change.
 
-    Each term is assembled from the pointwise change (sine differences via
-    the product identity, quadratic forms via their polarization), so the
-    result stays accurate down to changes far below the fp noise of the total
-    energy.  Line searches near the minimum rely on this: the certified
-    decrease per step shrinks like the squared gradient norm, orders of
-    magnitude below eps * E.
+    cos v, sin v, u = sin v - h and halfLap u are formed once and shared by
+    the three quantities a Newton step evaluates at v: the gradient, the
+    Hessian product and the energy change to a trial point.
     """
-    s = grid.spacing
-    const = grid_constants(grid)
 
-    a = np.diff(v)
-    da = np.diff(v_new) - a
-    d_exchange = 0.5 * float(np.sum(da * (2.0 * a + da))) / s
+    def __init__(self, v: np.ndarray, grid: Grid1D, params: ModelParams):
+        self.v, self.grid, self.params = v, grid, params
+        self.cos = np.cos(v)
+        self.sin = np.sin(v)
+        self.u = self.sin - params.h
+        self.lam = half_laplacian_spectral_values(self.u, grid)
+        # the Hessian's diagonal part, cos 2 theta as cos^2 - sin^2
+        self.diag = (self.cos * self.cos - self.sin * self.sin
+                     + self.sin * (params.h - 0.5 * params.nu * self.lam))
 
-    u = np.sin(v) - params.h
-    du = 2.0 * np.cos(0.5 * (v_new + v)) * np.sin(0.5 * (v_new - v))
-    d_anisotropy = 0.5 * float(np.sum(const.trapezoid * du * (2.0 * u + du)))
+    def gradient(self) -> np.ndarray:
+        """g of the module docstring at the interior nodes; zero at the ends."""
+        s = self.grid.spacing
+        v, cos_t, sin_t, lam = self.v, self.cos, self.sin, self.lam
+        g = np.zeros_like(v)
+        theta_xx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (s * s)
+        g[1:-1] = (
+            -theta_xx
+            + cos_t[1:-1] * sin_t[1:-1]
+            - self.params.h * cos_t[1:-1]
+            + 0.5 * self.params.nu * cos_t[1:-1] * lam[1:-1]
+        )
+        return g
 
-    # polarization: S(u + du) - S(u) = <P(2u + du), Lam P(du)>
-    fa = detrended_rfft(2.0 * u + du, grid)
-    fb = detrended_rfft(du, grid)
-    d_stray = 0.25 * params.nu * float(
-        s / grid.n_points
-        * np.sum(const.weighted_wavenumbers * (fa * np.conj(fb)).real))
+    def hessian_product(self, phi: np.ndarray) -> np.ndarray:
+        """H phi for phi vanishing at both pinned ends,
 
-    return d_exchange + d_anisotropy + d_stray
+            H phi = -phi_xx + (cos 2 theta + h sin theta) phi
+                    - (nu/2) sin theta halfLap(sin theta - h) phi
+                    + (nu/2) cos theta halfLap(cos theta phi),
 
-
-def gradient_values(values: np.ndarray, grid: Grid1D, params: ModelParams) -> np.ndarray:
-    """L2 gradient of the discrete energy; zero at the pinned endpoints."""
-    s = grid.spacing
-    g = np.zeros_like(values)
-    theta_xx = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (s * s)
-    cos_t = np.cos(values)
-    sin_t = np.sin(values)
-    lam = half_laplacian_spectral_values(sin_t - params.h, grid)
-    g[1:-1] = (
-        -theta_xx
-        + cos_t[1:-1] * sin_t[1:-1]
-        - params.h * cos_t[1:-1]
-        + 0.5 * params.nu * cos_t[1:-1] * lam[1:-1]
-    )
-    return g
-
-
-def hessian_operator(values: np.ndarray, grid: Grid1D, params: ModelParams):
-    """Second variation of the discrete energy at `values`, as phi -> H phi.
-
-    For perturbations phi that vanish at both pinned ends,
-
-        H phi = -phi_xx + (cos 2 theta + h sin theta) phi
-                - (nu/2) sin theta halfLap(sin theta - h) phi
-                + (nu/2) cos theta halfLap(cos theta phi),
-
-    the derivative of gradient_values along phi.  H is symmetric in the
-    spacing-weighted inner product; H phi is zero at the endpoints.
-    """
-    s2 = grid.spacing * grid.spacing
-    half_nu = 0.5 * params.nu
-    cos_t = np.cos(values)
-    sin_t = np.sin(values)
-    lam = half_laplacian_spectral_values(sin_t - params.h, grid)
-    diag = np.cos(2.0 * values) + sin_t * (params.h - half_nu * lam)
-    del sin_t, lam
-
-    def apply(phi: np.ndarray) -> np.ndarray:
-        out = half_laplacian_spectral_values(cos_t * phi, grid)
-        out *= cos_t
-        out *= half_nu
-        out += diag * phi
+        the derivative of the gradient along phi.  H is symmetric in the
+        spacing-weighted inner product; H phi is zero at the endpoints.
+        """
+        s2 = self.grid.spacing * self.grid.spacing
+        out = half_laplacian_spectral_values(self.cos * phi, self.grid)
+        out *= self.cos
+        out *= 0.5 * self.params.nu
+        out += self.diag * phi
         out[1:-1] -= (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / s2
         out[0] = 0.0
         out[-1] = 0.0
         return out
 
-    return apply
+    def energy_change(self, v_new: np.ndarray) -> float:
+        """E(v_new) - E(v) without catastrophic cancellation.
+
+        Each term is assembled from the pointwise change (sine differences
+        via the product identity, quadratic forms via their polarization),
+        so the result stays accurate down to changes far below the fp noise
+        of the total energy.  Line searches near the minimum rely on this:
+        the certified decrease per step shrinks like the squared gradient
+        norm, orders of magnitude below eps * E.
+        """
+        v, grid, params = self.v, self.grid, self.params
+        s = grid.spacing
+        const = grid_constants(grid)
+
+        a = np.diff(v)
+        da = np.diff(v_new) - a
+        d_exchange = 0.5 * float(np.sum(da * (2.0 * a + da))) / s
+
+        du = 2.0 * np.cos(0.5 * (v_new + v)) * np.sin(0.5 * (v_new - v))
+        d_anisotropy = 0.5 * float(np.sum(const.trapezoid * du * (2.0 * self.u + du)))
+
+        # S(u + du) - S(u) = 2 s <Pu, Lam P du> + S(du) by polarization, the
+        # cross term by Parseval as the sample sum 2 s sum_j (halfLap u)_j (P du)_j
+        cross = 2.0 * s * float(np.sum(self.lam[:-1] * detrended(du, grid)))
+        d_stray = 0.25 * params.nu * (cross + _stray_quadratic_form(du, grid))
+
+        return d_exchange + d_anisotropy + d_stray
+
+
+def energy_delta(v: np.ndarray, v_new: np.ndarray, grid: Grid1D,
+                 params: ModelParams) -> float:
+    """E(v_new) - E(v) without catastrophic cancellation
+    (`LocalExpansion.energy_change` at v)."""
+    return LocalExpansion(v, grid, params).energy_change(v_new)
+
+
+def gradient_values(values: np.ndarray, grid: Grid1D, params: ModelParams) -> np.ndarray:
+    """L2 gradient of the discrete energy; zero at the pinned endpoints
+    (`LocalExpansion.gradient` at values)."""
+    return LocalExpansion(values, grid, params).gradient()
+
+
+def hessian_operator(values: np.ndarray, grid: Grid1D, params: ModelParams):
+    """Second variation of the discrete energy at `values`, as phi -> H phi
+    (`LocalExpansion.hessian_product` at values)."""
+    return LocalExpansion(values, grid, params).hessian_product
 
 
 def energy_gradient(p: Profile) -> FieldSamples:
@@ -170,9 +188,10 @@ def clamp_values(values: np.ndarray, params: ModelParams) -> np.ndarray:
     Values already inside the admissible range are returned bit-identical, so
     the operation is exactly idempotent.
     """
-    inside = (values >= 0.0) & (values <= np.pi)
-    folded = np.where(inside, values, np.arccos(np.cos(values)))
-    return np.clip(folded, params.theta_h, np.pi - params.theta_h)
+    outside = (values < 0.0) | (values > np.pi)
+    folded = values.copy()
+    folded[outside] = np.arccos(np.cos(values[outside]))
+    return np.clip(folded, params.theta_h, np.pi - params.theta_h, out=folded)
 
 
 def clamp_rotations(p: Profile) -> Profile:

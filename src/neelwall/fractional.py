@@ -83,12 +83,11 @@ def grid_constants(grid: Grid1D) -> GridConstants:
     return _grid_constants(grid.n_points, grid.spacing)
 
 
-def detrended_rfft(values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """rfft of the first n_points samples less the line through the endpoint
-    values, one period of a continuous periodic extension."""
+def detrended(values: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """The first n_points samples less the line through the endpoint values,
+    one period of a continuous periodic extension."""
     ramp = grid_constants(grid).ramp
-    trend = values[0] + (values[-1] - values[0]) * ramp
-    return np.fft.rfft(values[:-1] - trend)
+    return values[:-1] - (values[0] + (values[-1] - values[0]) * ramp)
 
 
 def half_laplacian_spectral_values(values: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -96,7 +95,7 @@ def half_laplacian_spectral_values(values: np.ndarray, grid: Grid1D) -> np.ndarr
     if values.shape != (grid.n_samples,):
         raise ValueError("field length does not match grid")
     k = grid_constants(grid).wavenumbers
-    out = np.fft.irfft(k * detrended_rfft(values, grid), n=grid.n_points)
+    out = np.fft.irfft(k * np.fft.rfft(detrended(values, grid)), n=grid.n_points)
     return np.append(out, out[0])
 
 

@@ -108,8 +108,9 @@ def load_result(path: str) -> SolveResult:
     if not isinstance(doc, dict) or doc.get("kind") != "solve_result":
         raise ValueError(f"{path!r} does not contain a solve result")
     try:
-        grid = make_grid(doc["grid"]["half_length"], doc["grid"]["n_points"])
-        params = ModelParams(doc["params"]["nu"], doc["params"]["h"])
+        grid = make_grid(*(_load_cell(k, doc["grid"][k])
+                           for k in ("half_length", "n_points")))
+        params = ModelParams(*(_load_cell(k, doc["params"][k]) for k in ("nu", "h")))
         samples = doc["profile"]
         if not set(map(type, samples)) <= {int, float}:
             i = next(i for i, s in enumerate(samples) if type(s) not in (int, float))
@@ -169,10 +170,11 @@ def load_table(path: str) -> SweepTable:
 
 def _load_cell(col: str, value):
     """A parsed JSON scalar under its field's policy: converged is a boolean,
-    iterations an integer, and every other field a number, where null loads
-    as NaN except in nu and h."""
-    kinds = {"converged": (bool,), "iterations": (int,)}.get(col, (int, float))
-    if value is None and float in kinds and col not in ("nu", "h"):
+    iterations and n_points integers, and every other field a number, where
+    null loads as NaN except in nu, h and half_length."""
+    kinds = {"converged": (bool,), "iterations": (int,),
+             "n_points": (int,)}.get(col, (int, float))
+    if value is None and float in kinds and col not in ("nu", "h", "half_length"):
         return math.nan
     if type(value) not in kinds:
         raise ValueError(f"{col} cannot hold {value!r}")

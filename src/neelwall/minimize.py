@@ -8,18 +8,22 @@ profile; every iterate is made exactly symmetric from its right half, with
 theta(0) = pi/2, so the wall is centered by construction.
 
 Each outer iteration is one line-search Newton step (Nocedal & Wright,
-ch. 7).  The direction comes from a truncated preconditioned CG on the exact
-Hessian of the discrete energy, `energy.hessian_operator`, stopped at the
-forcing tolerance min(1/2, ||g||^(1/2)) ||g|| or at the first direction of
-negative curvature (Steihaug 1983).  Every vector is projected onto odd
-deviations about pi/2.  The preconditioner is the linearized wall operator
-with Dirichlet ends, diagonal in the sine modes of the interior nodes:
+ch. 7) on one `energy.LocalExpansion` of the energy at the iterate, which
+supplies its gradient, Hessian products and trial energy changes.  The
+direction comes from a truncated preconditioned CG on the exact Hessian of
+the discrete energy, stopped at the forcing tolerance
+min(1/2, ||g||^(1/2)) ||g|| or at the first direction of negative curvature
+(Steihaug 1983).  Every vector is projected onto odd deviations about pi/2.
+The preconditioner is the linearized wall operator with Dirichlet ends,
+diagonal in the sine modes sin(pi m j / n) of the interior nodes:
 
     (4/s^2) sin^2(k s/2) + (nu/2) cos^2(theta_h) k + cos^2(theta_h),
-    k = pi m / (2 half_length),
+    k = pi m / (2 half_length).
 
-applied by a DST-I.  An Armijo backtracking line search on the
-cancellation-free `energy_delta` starts at the full step, so the energy
+An odd residual, r[j] = -r[n - j], holds only the modes m = 2m' and is
+odd in the n-periodic sense too, so a length-n rfft applies it, mode m' at
+the periodic wavenumber pi m' / half_length.  An Armijo backtracking line search on the
+cancellation-free energy change starts at the full step, so the energy
 never increases; the accepted point is clamped to the admissible range and
 pinned.  The solve stops one Newton step after the interior gradient
 sup-norm first reaches the tolerance: that step costs a few Hessian products
@@ -36,13 +40,12 @@ import numpy as np
 
 from .energy import (
     EnergyBreakdown,
+    LocalExpansion,
     clamp_values,
     energy,
-    energy_delta,
-    gradient_values,
-    hessian_operator,
     symmetrize_rearrange,
 )
+from .fractional import grid_constants
 from .green import DecayReport, linearized_symbol
 from .grid import Grid1D, ModelParams, Profile
 
@@ -96,28 +99,24 @@ def _odd(phi: np.ndarray) -> np.ndarray:
 
 
 def _dirichlet_symbol(grid: Grid1D, params: ModelParams) -> np.ndarray:
-    """Preconditioner symbol at k = pi m / (2 half_length), m = 0..n_points:
-    the linearized symbol with k^2 replaced by the second difference's
-    eigenvalue (4/s^2) sin^2(k s/2)."""
-    k = np.pi / (2.0 * grid.half_length) * np.arange(grid.n_points + 1)
+    """Preconditioner symbol at the periodic wavenumbers k = pi m' / half_length,
+    m' = 0..n_points/2: the linearized symbol with k^2 replaced by the second
+    difference's eigenvalue (4/s^2) sin^2(k s/2)."""
+    k = grid_constants(grid).wavenumbers
     second_difference = (2.0 / grid.spacing * np.sin(0.5 * grid.spacing * k)) ** 2
     return linearized_symbol(k, params) - k * k + second_difference
 
 
 def _precondition(r: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """Divide the interior nodes' sine coefficients by `symbol`; ends zero.
+    """Divide the sine coefficients of an odd r by `symbol`; ends zero.
 
-    The DST-I of the n - 1 interior values is the rfft of their length-2n
-    odd extension, so one rfft/irfft pair applies the inverse symbol.
+    The rfft of r's first n samples holds its sine mode 2m' at index m', so
+    one length-n rfft/irfft pair applies the inverse symbol.
     """
-    n = r.size - 1
-    ext = np.zeros(2 * n)
-    ext[1:n] = r[1:-1]
-    ext[n + 1:] = -r[-2:0:-1]
-    spec = np.fft.rfft(ext)
-    del ext
+    spec = np.fft.rfft(r[:-1])
     spec /= symbol
-    out = np.fft.irfft(spec, n=2 * n)[:n + 1]
+    out = np.empty_like(r)
+    out[:-1] = np.fft.irfft(spec, n=r.size - 1)
     out[0] = 0.0
     out[-1] = 0.0
     return out
@@ -141,8 +140,8 @@ def _mirror(v: np.ndarray, params: ModelParams) -> np.ndarray:
     return v
 
 
-def _newton_direction(g, hess, symbol, spacing):
-    """Truncated PCG on H p = -g for an odd gradient g.
+def _newton_direction(g, expansion, symbol, spacing):
+    """Truncated PCG on H p = -g for an odd gradient g of `expansion`.
 
     Stops when the residual falls below the forcing tolerance, at the
     iteration cap, or on a direction of negative curvature: then the
@@ -158,7 +157,7 @@ def _newton_direction(g, hess, symbol, spacing):
     rz = _inner(r, z, spacing)
     del z
     for j in range(CG_MAX_ITER):
-        hd = _odd(hess(d))
+        hd = _odd(expansion.hessian_product(d))
         curvature = _inner(d, hd, spacing)
         if curvature <= 0.0:
             return d if j == 0 else p
@@ -178,14 +177,14 @@ def _newton_direction(g, hess, symbol, spacing):
     return p
 
 
-def _line_search(v, p, slope, grid, params):
+def _line_search(expansion, p, slope):
     """Armijo backtracking from the full step; None when it stalls."""
     if slope >= 0.0:
         return None
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
-        trial = v + alpha * p
-        if energy_delta(v, trial, grid, params) <= ARMIJO_SLOPE_FRACTION * alpha * slope:
+        trial = expansion.v + alpha * p
+        if expansion.energy_change(trial) <= ARMIJO_SLOPE_FRACTION * alpha * slope:
             return trial
         alpha *= BACKTRACK_FACTOR
     return None
@@ -255,7 +254,8 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
     iterations = 0
     polishing = False
     while True:
-        g = gradient_values(v, grid, params)
+        expansion = LocalExpansion(v, grid, params)
+        g = expansion.gradient()
         residual = float(np.max(np.abs(g)))
         if residual <= opts.tol:
             if polishing:
@@ -264,10 +264,9 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
         if iterations == opts.max_iter:
             break
         g = _odd(g)
-        p = _newton_direction(g, hessian_operator(v, grid, params), symbol,
-                              grid.spacing)
-        trial = _line_search(v, p, _inner(g, p, grid.spacing), grid, params)
-        del g, p
+        p = _newton_direction(g, expansion, symbol, grid.spacing)
+        trial = _line_search(expansion, p, _inner(g, p, grid.spacing))
+        del g, p, expansion
         if trial is None:
             break
         v = _mirror(clamp_values(trial, params), params)

@@ -305,6 +305,20 @@ class TestEmitLoad:
         with pytest.raises(ValueError, match=pattern):
             nw.load_result(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("params", "nu", True),           # a boolean is no number
+        ("grid", "n_points", 64.0),       # n_points is a JSON integer
+        ("params", "h", None),            # the cell's coordinates are never null
+        ("grid", "half_length", None),
+    ], ids=["boolean-nu", "float-n_points", "null-h", "null-half_length"])
+    def test_result_malformed_cell_rejected_naming_path(self, small_solve, tmp_path,
+                                                         section, key, value):
+        path = self._edited_result(small_solve, tmp_path / "badcell.json",
+                                   lambda doc: doc[section].__setitem__(key, value))
+        pattern = rf"badcell\.json.*{key} cannot hold {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=pattern):
+            nw.load_result(path)
+
     def test_result_huge_integer_rejected_naming_path(self, small_solve, tmp_path):
         path = self._edited_result(small_solve, tmp_path / "hugeint.json",
                                    lambda doc: doc["profile"].__setitem__(5, 10 ** 400))

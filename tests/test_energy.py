@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import neelwall as nw
 from neelwall.energy import (
+    LocalExpansion,
     _folded_segments,
     _layer_widths,
     clamp_values,
@@ -12,6 +13,11 @@ from neelwall.energy import (
     energy_parts,
     gradient_values,
     hessian_operator,
+)
+from neelwall.fractional import (
+    detrended,
+    grid_constants,
+    half_laplacian_spectral_values,
 )
 from conftest import make_random_admissible
 
@@ -157,7 +163,75 @@ class TestHessian:
         assert h_phi[0] == 0.0 and h_phi[-1] == 0.0
 
 
+def _two_transform_delta(v, v_new, grid, params):
+    """E(v_new) - E(v) with the stray change as the polarization
+    <P(2u + du), Lam P du>, one rfft of each factor."""
+    s = grid.spacing
+    const = grid_constants(grid)
+    a = np.diff(v)
+    da = np.diff(v_new) - a
+    d_exchange = 0.5 * float(np.sum(da * (2.0 * a + da))) / s
+    u = np.sin(v) - params.h
+    du = 2.0 * np.cos(0.5 * (v_new + v)) * np.sin(0.5 * (v_new - v))
+    d_anisotropy = 0.5 * float(np.sum(const.trapezoid * du * (2.0 * u + du)))
+    fa = np.fft.rfft(detrended(2.0 * u + du, grid))
+    fb = np.fft.rfft(detrended(du, grid))
+    d_stray = 0.25 * params.nu * float(
+        s / grid.n_points
+        * np.sum(const.weighted_wavenumbers * (fa * np.conj(fb)).real))
+    return d_exchange + d_anisotropy + d_stray
+
+
+class TestLocalExpansion:
+    @pytest.mark.parametrize("nu, h", [(0.1, 0.99), (1.0, 0.0), (10.0, 0.3)])
+    def test_energy_change_matches_two_transform_polarization(self, nu, h):
+        g, params = _grid_params(h=h, nu=nu)
+        rng = np.random.default_rng(4)
+        v = clamp_values(make_random_admissible(g, params, rng).values, params)
+        expansion = LocalExpansion(v, g, params)
+        descent = -expansion.gradient()
+        for t in 10.0 ** -np.arange(2, 10):
+            v_new = v + t * descent
+            want = _two_transform_delta(v, v_new, g, params)
+            assert expansion.energy_change(v_new) == pytest.approx(want, rel=1e-12)
+            assert energy_delta(v, v_new, g, params) == expansion.energy_change(v_new)
+
+    @pytest.mark.parametrize("nu, h", [(0.1, 0.99), (1.0, 0.0), (10.0, 0.3)])
+    def test_gradient_is_the_formula_bit_for_bit(self, nu, h):
+        g, params = _grid_params(h=h, nu=nu)
+        rng = np.random.default_rng(6)
+        v = make_random_admissible(g, params, rng).values
+        s = g.spacing
+        want = np.zeros_like(v)
+        theta_xx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (s * s)
+        cos_t = np.cos(v)
+        sin_t = np.sin(v)
+        lam = half_laplacian_spectral_values(sin_t - params.h, g)
+        want[1:-1] = (
+            -theta_xx
+            + cos_t[1:-1] * sin_t[1:-1]
+            - params.h * cos_t[1:-1]
+            + 0.5 * params.nu * cos_t[1:-1] * lam[1:-1]
+        )
+        assert np.array_equal(LocalExpansion(v, g, params).gradient(), want)
+        assert np.array_equal(gradient_values(v, g, params), want)
+
+
 class TestClampRotations:
+    @pytest.mark.parametrize("h", [0.0, 0.3])
+    def test_matches_where_form(self, h):
+        params = nw.ModelParams(1.0, h)
+        rng = np.random.default_rng(13)
+        v = np.concatenate([
+            rng.uniform(-7.0, 0.0, 50), rng.uniform(np.pi, 10.0, 50),
+            rng.uniform(0.0, np.pi, 50),
+            [0.0, -0.0, np.pi, np.nextafter(np.pi, 4.0), -1e-300, 0.1, 3.0]])
+        rng.shuffle(v)
+        inside = (v >= 0.0) & (v <= np.pi)
+        want = np.clip(np.where(inside, v, np.arccos(np.cos(v))),
+                       params.theta_h, np.pi - params.theta_h)
+        assert np.array_equal(clamp_values(v, params), want)
+
     def test_identity_on_admissible_range(self):
         g, params = _grid_params(h=0.3)
         rng = np.random.default_rng(9)

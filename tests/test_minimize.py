@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 
 import neelwall as nw
-from neelwall.minimize import _dirichlet_symbol, _precondition, find_crossing
+from neelwall.minimize import _dirichlet_symbol, _odd, _precondition, find_crossing
 
 # the package attribute neelwall.minimize is the function, not the module
 minimize_module = sys.modules["neelwall.minimize"]
@@ -111,12 +111,29 @@ class TestMinimize:
     def test_line_search_stall_reported_not_raised(self, monkeypatch):
         grid = nw.make_grid(20.0, 512)
         params = nw.ModelParams(1.0, 0.0)
-        monkeypatch.setattr(minimize_module, "energy_delta",
+        monkeypatch.setattr(minimize_module.LocalExpansion, "energy_change",
                             lambda *args: np.inf)
         result = nw.minimize(nw.reference_profile(grid, params))
         assert not result.converged
         assert result.iterations == 0
         assert result.residual_sup > 1e-6
+
+    @pytest.mark.parametrize("max_iter", [3, 100])
+    def test_one_expansion_per_newton_step(self, monkeypatch, max_iter):
+        built = []
+
+        class Counted(minimize_module.LocalExpansion):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(minimize_module, "LocalExpansion", Counted)
+        grid = nw.make_grid(20.0, 512)
+        params = nw.ModelParams(1.0, 0.0)
+        result = nw.minimize(nw.reference_profile(grid, params),
+                             nw.SolveOptions(max_iter=max_iter))
+        assert result.converged == (max_iter == 100)
+        assert len(built) == result.iterations + 1
 
     def test_shifted_initialization_same_wall(self):
         grid = nw.make_grid(20.0, 1024)
@@ -154,42 +171,51 @@ class TestMinimize:
 
 
 class TestPrecondition:
+    # the solve preconditions only odd residuals, r[j] = -r[n - j]: their
+    # sine coefficients vanish at odd m, and mode m = 2m' has symbol[m']
+
     @pytest.mark.parametrize("nu, h", [(0.1, 0.99), (1.0, 0.0), (10.0, 0.3)])
     def test_matches_scipy_dst(self, nu, h):
         grid = nw.make_grid(20.0, 512)
         params = nw.ModelParams(nu, h)
         symbol = _dirichlet_symbol(grid, params)
         rng = np.random.default_rng(3)
-        r = rng.normal(size=grid.n_samples)
+        r = _odd(rng.normal(size=grid.n_samples))
         r[0] = r[-1] = 0.0
-        want = scipy.fft.idst(scipy.fft.dst(r[1:-1], type=1) / symbol[1:-1], type=1)
+        coeffs = scipy.fft.dst(r[1:-1], type=1)   # entry i is mode m = i + 1
+        assert np.max(np.abs(coeffs[0::2])) <= 1e-14 * np.max(np.abs(coeffs))
+        divided = np.zeros_like(coeffs)
+        divided[1::2] = coeffs[1::2] / symbol[1:-1]
+        want = scipy.fft.idst(divided, type=1)
         got = _precondition(r, symbol)
         assert got[0] == 0.0 and got[-1] == 0.0
         assert np.max(np.abs(got[1:-1] - want)) <= 1e-14 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("m", [1, 2, 37, 255, 511])
-    def test_sine_mode_divided_by_symbol(self, m):
-        grid = nw.make_grid(20.0, 512)
+    # m' = 511 is the top even interior mode on 1024 points
+    @pytest.mark.parametrize("m_half", [1, 2, 37, 255, 511])
+    def test_sine_mode_divided_by_symbol(self, m_half):
+        grid = nw.make_grid(20.0, 1024)
         params = nw.ModelParams(1.0, 0.3)
         symbol = _dirichlet_symbol(grid, params)
         j = np.arange(grid.n_samples)
-        mode = np.sin(np.pi * m * j / grid.n_points)
+        mode = np.sin(np.pi * 2 * m_half * j / grid.n_points)
         mode[0] = mode[-1] = 0.0
         got = _precondition(mode, symbol)
         # FFT rounding leaks ~eps sqrt(n) of the unit mode into the others,
         # which the smallest symbol divides least
-        assert np.max(np.abs(got - mode / symbol[m])) <= 1e-13 / symbol.min()
+        assert np.max(np.abs(got - mode / symbol[m_half])) <= 1e-13 / symbol.min()
 
     def test_symbol_is_the_discrete_linearized_operator(self):
         grid = nw.make_grid(20.0, 512)
         params = nw.ModelParams(2.0, 0.5)
         symbol = _dirichlet_symbol(grid, params)
+        assert symbol.size == grid.n_points // 2 + 1
         c2 = params.cos_theta_h ** 2
-        m = 5
-        k = np.pi * m / (2.0 * grid.half_length)
-        discrete_k2 = 4.0 / grid.spacing ** 2 * np.sin(np.pi * m / (2 * grid.n_points)) ** 2
-        assert symbol[m] == pytest.approx(discrete_k2 + params.nu / 2 * c2 * k + c2,
-                                          rel=1e-14)
+        m_half = 5   # sine mode m = 10
+        k = np.pi * 2 * m_half / (2.0 * grid.half_length)
+        discrete_k2 = 4.0 / grid.spacing ** 2 * np.sin(np.pi * 2 * m_half / (2 * grid.n_points)) ** 2
+        assert symbol[m_half] == pytest.approx(discrete_k2 + params.nu / 2 * c2 * k + c2,
+                                               rel=1e-14)
 
 
 class TestRecenter:
