@@ -3,10 +3,12 @@
 
 Solves a wall on a long domain and tabulates the local log-log slope and the
 compensated profile x^2 (theta - theta_h) across fit windows, together with
-the two amplitude estimates.  The window must sit beyond the crossover from
-the exponentially decaying core of the fundamental solution (scale
-~ 2 / (nu cos^2 theta_h)) and beyond its x^{-4} correction; for nu ~ 1 that
-means x of order 15 and up.
+the amplitude estimates: the multipole with its three charges, the tail fit
+on [L/8, L/4] and the far field, the median of x^2 (theta - theta_h) on
+[L/16, L/8].  A window must sit beyond the crossover from the exponentially
+decaying core of the fundamental solution (scale ~ 2 / (nu cos^2 theta_h))
+and beyond its x^{-4} correction; for nu ~ 1 that means x of order 15 and
+up, so the far field wants a long domain (--half-length 320 --points 32768).
 """
 
 import argparse
@@ -50,13 +52,17 @@ def main():
               f"median x^2 dev {med:.5f}")
 
     report = nw.decay_amplitude(p)
+    far = (x >= args.half_length / 16) & (x <= args.half_length / 8)
+    far_field = float(np.median(x[far] ** 2 * dev[far]))
     print(f"\namplitudes: multipole {report.amplitude_multipole:.6f} "
-          f"(forcing integral {report.forcing_integral:.6f} "
-          f"+ corner charge {report.corner_charge:.6f}), "
-          f"tail fit {report.amplitude_tailfit:.6f}")
+          f"= {coeff:.6f} x (forcing integral {report.forcing_integral:.6f} "
+          f"+ corner charge {report.corner_charge:.6f} "
+          f"+ stray-tail charge {report.stray_tail_charge:.6f}), "
+          f"tail fit {report.amplitude_tailfit:.6f}, "
+          f"far field [L/16, L/8] {far_field:.6f}")
     print(f"ratio multipole/tailfit = "
-          f"{report.amplitude_multipole / report.amplitude_tailfit:.4f}")
-
+          f"{report.amplitude_multipole / report.amplitude_tailfit:.4f}, "
+          f"multipole/far field = {report.amplitude_multipole / far_field:.4f}")
 
 if __name__ == "__main__":
     main()

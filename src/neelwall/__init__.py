@@ -19,7 +19,6 @@ from .analysis import (
 from .energy import (
     EnergyBreakdown,
     clamp_rotations,
-    el_residual,
     energy,
     energy_gradient,
     sin_midpoint,
@@ -52,7 +51,7 @@ __all__ = [
     "interpolate",
     "FieldSamples", "half_laplacian_spectral", "half_laplacian_pv",
     "h_half_seminorm_sq",
-    "EnergyBreakdown", "energy", "energy_gradient", "el_residual",
+    "EnergyBreakdown", "energy", "energy_gradient",
     "clamp_rotations", "symmetrize_rearrange", "sin_midpoint",
     "SolveOptions", "SolveResult", "minimize", "recenter",
     "green_hat", "green_quadrature", "green_decay_coeff", "green_samples",

@@ -44,11 +44,19 @@ class EnergyBreakdown:
     total: float
 
 
-def _stray_quadratic_form(u: np.ndarray, grid: Grid1D) -> float:
-    """s * <u, halfLap u> over one period of the detrended extension, >= 0."""
+def _stray_quadratic_form(u: np.ndarray, grid: Grid1D, real=None,
+                          spectrum=None) -> float:
+    """s * <u, halfLap u> over one period of the detrended extension, >= 0.
+
+    real and spectrum are optional work arrays, as in
+    `half_laplacian_spectral_values`.
+    """
     kw = grid_constants(grid).weighted_wavenumbers
-    uhat = np.fft.rfft(detrended(u, grid))
-    return float(grid.spacing / grid.n_points * np.sum(kw * np.abs(uhat) ** 2))
+    uhat = np.fft.rfft(detrended(u, grid, real), out=spectrum)
+    power = np.abs(uhat, out=None if real is None else real[:uhat.size])
+    np.square(power, out=power)
+    power *= kw
+    return float(grid.spacing / grid.n_points * np.sum(power))
 
 
 def energy_parts(values: np.ndarray, grid: Grid1D, params: ModelParams):
@@ -68,39 +76,80 @@ def energy(p: Profile) -> EnergyBreakdown:
     return EnergyBreakdown(exchange, anisotropy, stray, exchange + anisotropy + stray)
 
 
+class ExpansionWork:
+    """Work arrays of `LocalExpansion` on one grid, reusable across iterates.
+
+    Each name in ROWS is one row of a single block of n_samples columns:
+    the expansion's cos, sin, u, lam and diag, then three scratch vectors.
+    real (n_points) and spectrum (n_points/2 + 1, complex) serve the
+    half-Laplacian's detrended samples and their transform.  One block
+    rather than a row per array: it is allocated and returned to the heap
+    as a unit.
+    """
+
+    ROWS = ("cos", "sin", "u", "lam", "diag", "tmp0", "tmp1", "tmp2")
+
+    def __init__(self, n_points: int):
+        block = np.empty((len(self.ROWS), n_points + 1))
+        for name, row in zip(self.ROWS, block):
+            setattr(self, name, row)
+        self.real = np.empty(n_points)
+        self.spectrum = np.empty(n_points // 2 + 1, dtype=complex)
+
+
 class LocalExpansion:
     """The discrete energy near an iterate v: gradient, Hessian, exact change.
 
     cos v, sin v, u = sin v - h and halfLap u are formed once and shared by
     the three quantities a Newton step evaluates at v: the gradient, the
-    Hessian product and the energy change to a trial point.
+    Hessian product and the energy change to a trial point.  They live in
+    `work`, an `ExpansionWork` that a solve passes to the expansion of every
+    iterate; the methods use its scratch rows, and return into `out` when it
+    is given.  Each result is computed in the same operation order as its
+    formula, so buffered and allocating calls agree bit for bit.
     """
 
-    def __init__(self, v: np.ndarray, grid: Grid1D, params: ModelParams):
-        self.v, self.grid, self.params = v, grid, params
-        self.cos = np.cos(v)
-        self.sin = np.sin(v)
-        self.u = self.sin - params.h
-        self.lam = half_laplacian_spectral_values(self.u, grid)
-        # the Hessian's diagonal part, cos 2 theta as cos^2 - sin^2
-        self.diag = (self.cos * self.cos - self.sin * self.sin
-                     + self.sin * (params.h - 0.5 * params.nu * self.lam))
+    def __init__(self, v: np.ndarray, grid: Grid1D, params: ModelParams,
+                 work: ExpansionWork | None = None):
+        if work is None:
+            work = ExpansionWork(grid.n_points)
+        self.v, self.grid, self.params, self.work = v, grid, params, work
+        self.cos = np.cos(v, out=work.cos)
+        self.sin = np.sin(v, out=work.sin)
+        self.u = np.subtract(self.sin, params.h, out=work.u)
+        self.lam = half_laplacian_spectral_values(self.u, grid, work.lam,
+                                                  work.real, work.spectrum)
+        # the Hessian's diagonal part, cos 2 theta as cos^2 - sin^2:
+        # cos^2 - sin^2 + sin (h - (nu/2) lam)
+        self.diag = np.multiply(self.cos, self.cos, out=work.diag)
+        self.diag -= np.multiply(self.sin, self.sin, out=work.tmp0)
+        t = np.multiply(0.5 * params.nu, self.lam, out=work.tmp0)
+        np.subtract(params.h, t, out=t)
+        t *= self.sin
+        self.diag += t
 
-    def gradient(self) -> np.ndarray:
+    def gradient(self, out: np.ndarray | None = None) -> np.ndarray:
         """g of the module docstring at the interior nodes; zero at the ends."""
         s = self.grid.spacing
         v, cos_t, sin_t, lam = self.v, self.cos, self.sin, self.lam
-        g = np.zeros_like(v)
-        theta_xx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (s * s)
-        g[1:-1] = (
-            -theta_xx
-            + cos_t[1:-1] * sin_t[1:-1]
-            - self.params.h * cos_t[1:-1]
-            + 0.5 * self.params.nu * cos_t[1:-1] * lam[1:-1]
-        )
+        g = np.empty_like(v) if out is None else out
+        g[0] = g[-1] = 0.0
+        # -theta_xx + cos sin - h cos + (nu/2) cos lam, left to right
+        gi, t = g[1:-1], self.work.tmp0[1:-1]
+        np.multiply(2.0, v[1:-1], out=gi)
+        np.subtract(v[2:], gi, out=gi)
+        gi += v[:-2]
+        gi /= s * s
+        np.negative(gi, out=gi)
+        gi += np.multiply(cos_t[1:-1], sin_t[1:-1], out=t)
+        gi -= np.multiply(self.params.h, cos_t[1:-1], out=t)
+        np.multiply(0.5 * self.params.nu, cos_t[1:-1], out=t)
+        t *= lam[1:-1]
+        gi += t
         return g
 
-    def hessian_product(self, phi: np.ndarray) -> np.ndarray:
+    def hessian_product(self, phi: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """H phi for phi vanishing at both pinned ends,
 
             H phi = -phi_xx + (cos 2 theta + h sin theta) phi
@@ -109,13 +158,21 @@ class LocalExpansion:
 
         the derivative of the gradient along phi.  H is symmetric in the
         spacing-weighted inner product; H phi is zero at the endpoints.
+        out must not be phi.
         """
+        work = self.work
         s2 = self.grid.spacing * self.grid.spacing
-        out = half_laplacian_spectral_values(self.cos * phi, self.grid)
+        t = np.multiply(self.cos, phi, out=work.tmp0)
+        out = half_laplacian_spectral_values(t, self.grid, out, work.real,
+                                             work.spectrum)
         out *= self.cos
         out *= 0.5 * self.params.nu
-        out += self.diag * phi
-        out[1:-1] -= (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / s2
+        out += np.multiply(self.diag, phi, out=t)
+        phi_xx = np.multiply(2.0, phi[1:-1], out=t[1:-1])
+        np.subtract(phi[2:], phi_xx, out=phi_xx)
+        phi_xx += phi[:-2]
+        phi_xx /= s2
+        out[1:-1] -= phi_xx
         out[0] = 0.0
         out[-1] = 0.0
         return out
@@ -130,21 +187,40 @@ class LocalExpansion:
         the certified decrease per step shrinks like the squared gradient
         norm, orders of magnitude below eps * E.
         """
-        v, grid, params = self.v, self.grid, self.params
+        v, grid, params, work = self.v, self.grid, self.params, self.work
         s = grid.spacing
         const = grid_constants(grid)
 
-        a = np.diff(v)
-        da = np.diff(v_new) - a
-        d_exchange = 0.5 * float(np.sum(da * (2.0 * a + da))) / s
+        # da (2a + da), a = diff v, da = diff v_new - a
+        a = np.subtract(v[1:], v[:-1], out=work.tmp0[:-1])
+        da = np.subtract(v_new[1:], v_new[:-1], out=work.tmp1[:-1])
+        da -= a
+        a *= 2.0
+        a += da
+        a *= da
+        d_exchange = 0.5 * float(np.sum(a)) / s
 
-        du = 2.0 * np.cos(0.5 * (v_new + v)) * np.sin(0.5 * (v_new - v))
-        d_anisotropy = 0.5 * float(np.sum(const.trapezoid * du * (2.0 * self.u + du)))
+        # du = 2 cos((v_new + v)/2) sin((v_new - v)/2)
+        du = np.add(v_new, v, out=work.tmp0)
+        du *= 0.5
+        np.cos(du, out=du)
+        t = np.subtract(v_new, v, out=work.tmp1)
+        t *= 0.5
+        np.sin(t, out=t)
+        du *= 2.0
+        du *= t
+        # trapezoid du (2u + du)
+        t = np.multiply(const.trapezoid, du, out=work.tmp1)
+        t *= np.add(np.multiply(2.0, self.u, out=work.tmp2), du, out=work.tmp2)
+        d_anisotropy = 0.5 * float(np.sum(t))
 
         # S(u + du) - S(u) = 2 s <Pu, Lam P du> + S(du) by polarization, the
         # cross term by Parseval as the sample sum 2 s sum_j (halfLap u)_j (P du)_j
-        cross = 2.0 * s * float(np.sum(self.lam[:-1] * detrended(du, grid)))
-        d_stray = 0.25 * params.nu * (cross + _stray_quadratic_form(du, grid))
+        pdu = detrended(du, grid, work.real)
+        pdu *= self.lam[:-1]
+        cross = 2.0 * s * float(np.sum(pdu))
+        d_stray = 0.25 * params.nu * (
+            cross + _stray_quadratic_form(du, grid, work.real, work.spectrum))
 
         return d_exchange + d_anisotropy + d_stray
 
@@ -177,21 +253,20 @@ def energy_gradient(p: Profile) -> FieldSamples:
     return FieldSamples(p.grid, gradient_values(p.values, p.grid, p.params))
 
 
-def el_residual(p: Profile) -> FieldSamples:
-    """Pointwise equilibrium residual; coincides with the energy gradient."""
-    return energy_gradient(p)
-
-
-def clamp_values(values: np.ndarray, params: ModelParams) -> np.ndarray:
+def clamp_values(values: np.ndarray, params: ModelParams, out=None) -> np.ndarray:
     """Fold into [0, pi], then truncate to [theta_h, pi - theta_h].
 
     Values already inside the admissible range are returned bit-identical, so
-    the operation is exactly idempotent.
+    the operation is exactly idempotent.  The result goes to `out` when it is
+    given, which may be `values` itself.
     """
     outside = (values < 0.0) | (values > np.pi)
-    folded = values.copy()
-    folded[outside] = np.arccos(np.cos(values[outside]))
-    return np.clip(folded, params.theta_h, np.pi - params.theta_h, out=folded)
+    if out is None:
+        out = values.copy()
+    elif out is not values:
+        np.copyto(out, values)
+    out[outside] = np.arccos(np.cos(values[outside]))
+    return np.clip(out, params.theta_h, np.pi - params.theta_h, out=out)
 
 
 def clamp_rotations(p: Profile) -> Profile:

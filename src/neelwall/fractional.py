@@ -83,20 +83,32 @@ def grid_constants(grid: Grid1D) -> GridConstants:
     return _grid_constants(grid.n_points, grid.spacing)
 
 
-def detrended(values: np.ndarray, grid: Grid1D) -> np.ndarray:
+def detrended(values: np.ndarray, grid: Grid1D, out=None) -> np.ndarray:
     """The first n_points samples less the line through the endpoint values,
-    one period of a continuous periodic extension."""
+    one period of a continuous periodic extension; written to `out` if given."""
     ramp = grid_constants(grid).ramp
-    return values[:-1] - (values[0] + (values[-1] - values[0]) * ramp)
+    out = np.multiply(values[-1] - values[0], ramp, out=out)
+    out += values[0]
+    return np.subtract(values[:-1], out, out=out)
 
 
-def half_laplacian_spectral_values(values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Array-level spectral half-Laplacian (see half_laplacian_spectral)."""
+def half_laplacian_spectral_values(values: np.ndarray, grid: Grid1D, out=None,
+                                   real=None, spectrum=None) -> np.ndarray:
+    """Array-level spectral half-Laplacian (see half_laplacian_spectral).
+
+    out (n_points + 1 samples), real (n_points) and spectrum (n_points/2 + 1,
+    complex) are optional work arrays: the result, the detrended samples and
+    their transform.  Omitted ones are allocated.
+    """
     if values.shape != (grid.n_samples,):
         raise ValueError("field length does not match grid")
-    k = grid_constants(grid).wavenumbers
-    out = np.fft.irfft(k * np.fft.rfft(detrended(values, grid)), n=grid.n_points)
-    return np.append(out, out[0])
+    if out is None:
+        out = np.empty(grid.n_samples)
+    spectrum = np.fft.rfft(detrended(values, grid, real), out=spectrum)
+    spectrum *= grid_constants(grid).wavenumbers
+    np.fft.irfft(spectrum, n=grid.n_points, out=out[:-1])
+    out[-1] = out[0]
+    return out
 
 
 def half_laplacian_spectral(u: FieldSamples) -> FieldSamples:

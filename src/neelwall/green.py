@@ -19,8 +19,12 @@ Writing the folded wall deviation rho - theta_h as L^{-1} of the nonlinear
 forcing f = f1 + f2 + f3 turns the x^{-2} tail amplitude into a charge times
 green_decay_coeff.  The fold has a corner at x = 0 (the slopes of rho jump
 from +|theta'(0)| to -|theta'(0)|), so L(rho - theta_h) carries a point
-charge 2|theta'(0)| at the origin on top of the smooth forcing; the charge
-entering the amplitude is the integral of f plus that corner term.
+charge 2|theta'(0)| at the origin on top of the smooth forcing.  The charge
+entering the amplitude is the integral of f plus that corner term, plus the
+direct x^{-2} tail of f2 = (nu/2) c halfLap(w2): f2 integrates to zero, but
+halfLap w ~ -(int w) / (pi x^2), and near k = 0 green_hat is
+1/c^2 - (nu / 2c^2)|k| + ..., so that tail adds -c int w2 to the charge
+(c = cos theta_h).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1
 
 from .fractional import (
     FieldSamples,
@@ -157,6 +160,11 @@ def _pole_integral(z: np.ndarray) -> np.ndarray:
     beyond Re z = 709, and it avoids the cancellation between the two exp1
     terms, each about 1/z where I is about 1/z^2.
     """
+    # imported here, not at module level: this is the package's only scipy
+    # call, and scipy.special costs a process about 24 MB and 0.3 s to load,
+    # which a solve, sweep or verify never needs
+    from scipy.special import exp1
+
     out = np.empty_like(z)
     far = np.abs(z) > _ASYMPTOTIC_Z
     near = z[~far]
@@ -234,7 +242,8 @@ class ForcingTerms:
     f_total is the exact nodewise sum f1 + f2 + f3.  corner_charge is the
     point charge 2|theta'(0)| carried by L(rho - theta_h) at the fold corner;
     it is not part of f_total but belongs to the total charge seen by the
-    far field.
+    far field.  w2_integral is the trapezoid integral of w2, where
+    f2 = (nu/2) c halfLap(w2); the far field sees -c times it as a charge.
     """
 
     f1: FieldSamples
@@ -242,6 +251,7 @@ class ForcingTerms:
     f3: FieldSamples
     f_total: FieldSamples
     corner_charge: float
+    w2_integral: float
 
 
 def _check_wall_profile(p: Profile, what: str):
@@ -296,6 +306,7 @@ def forcing_terms(p: Profile) -> ForcingTerms:
         f3=FieldSamples(grid, f3),
         f_total=FieldSamples(grid, f_total),
         corner_charge=float(corner_charge),
+        w2_integral=float(np.sum(grid_constants(grid).trapezoid * w2)),
     )
 
 
@@ -303,14 +314,18 @@ def forcing_terms(p: Profile) -> ForcingTerms:
 class DecayReport:
     """Two independent estimates of the x^{-2} tail amplitude plus fit data.
 
-    amplitude_multipole: green_decay_coeff times the total charge (integral
-        of the forcing plus the fold-corner point charge).
+    amplitude_multipole: green_decay_coeff times the total charge: the
+        integral of the forcing, the fold-corner point charge and the
+        stray-tail charge.
     amplitude_tailfit: median of x^2 (rho(x) - theta_h) over the fit window
         [half_length/8, half_length/4] (median for robustness against the
         slow o(x^{-2}) drift).
     exponent_fit: log-log least-squares slope over the same window.
     green_coeff: nu / (2 pi cos^2 theta_h).
     forcing_integral: trapezoid of f_total alone, without the corner charge.
+    corner_charge: 2|theta'(0)|, the fold corner's point charge.
+    stray_tail_charge: -cos(theta_h) times the integral of w2, the charge of
+        the direct x^{-2} tail of f2.
     """
 
     amplitude_multipole: float
@@ -319,6 +334,7 @@ class DecayReport:
     green_coeff: float
     forcing_integral: float
     corner_charge: float
+    stray_tail_charge: float
 
 
 def decay_amplitude(p: Profile) -> DecayReport:
@@ -332,7 +348,9 @@ def decay_amplitude(p: Profile) -> DecayReport:
     grid, params = p.grid, p.params
     forcing_integral = float(np.sum(grid_constants(grid).trapezoid * terms.f_total.values))
     coeff = green_decay_coeff(params)
-    amplitude_multipole = coeff * (forcing_integral + terms.corner_charge)
+    stray_tail_charge = -params.cos_theta_h * terms.w2_integral
+    amplitude_multipole = coeff * (forcing_integral + terms.corner_charge
+                                   + stray_tail_charge)
 
     x_lo, x_hi = grid.half_length / 8.0, grid.half_length / 4.0
     x = grid.points
@@ -353,6 +371,7 @@ def decay_amplitude(p: Profile) -> DecayReport:
         green_coeff=coeff,
         forcing_integral=forcing_integral,
         corner_charge=terms.corner_charge,
+        stray_tail_charge=stray_tail_charge,
     )
 
 

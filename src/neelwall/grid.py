@@ -33,11 +33,6 @@ class Grid1D:
     points: np.ndarray
 
     @property
-    def nodes(self) -> np.ndarray:
-        """First n_points positions (right endpoint dropped), periodic convention."""
-        return self.points[:-1]
-
-    @property
     def n_samples(self) -> int:
         return self.n_points + 1
 
@@ -84,15 +79,12 @@ class ModelParams:
 
     nu is the thin film parameter weighting the nonlocal stray-field term;
     h in [0, 1) is the transverse applied field.  theta_h = arcsin(h) is the
-    plateau angle of the two monodomain states, and c_h = cos^2(pi/4 +
-    theta_h/2) > 0 is the coercivity constant of the quadratic lower bound
-    on the anisotropy term.
+    plateau angle of the two monodomain states.
     """
 
     nu: float
     h: float
     theta_h: float = field(init=False)
-    c_h: float = field(init=False)
 
     def __post_init__(self):
         if not np.isfinite(self.nu) or self.nu <= 0:
@@ -100,9 +92,6 @@ class ModelParams:
         if not (0.0 <= self.h < 1.0):
             raise ValueError(f"h must lie in [0, 1), got {self.h}")
         object.__setattr__(self, "theta_h", float(np.arcsin(self.h)))
-        object.__setattr__(
-            self, "c_h", float(np.cos(np.pi / 4 + self.theta_h / 2) ** 2)
-        )
 
     @property
     def cos_theta_h(self) -> float:

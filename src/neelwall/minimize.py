@@ -27,7 +27,8 @@ cancellation-free energy change starts at the full step, so the energy
 never increases; the accepted point is clamped to the admissible range and
 pinned.  The solve stops one Newton step after the interior gradient
 sup-norm first reaches the tolerance: that step costs a few Hessian products
-and takes the energy from about tol^2 to far below it.
+and takes the energy from about tol^2 to far below it.  Every grid-sized
+array of the loop lives in one `_SolveWork` per solve.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import numpy as np
 
 from .energy import (
     EnergyBreakdown,
+    ExpansionWork,
     LocalExpansion,
     clamp_values,
     energy,
@@ -86,14 +88,26 @@ class SolveResult:
     decay: Optional[DecayReport] = None
 
 
-def _inner(a: np.ndarray, b: np.ndarray, spacing: float) -> float:
+class _SolveWork(ExpansionWork):
+    """Every work array of one solve: the expansion's, the gradient g, the
+    CG vectors p, r, d, z and hd, the line-search trial and the iterate v.
+
+    minimize builds one per call and hands it down, so concurrent solves
+    share nothing and the Newton loop allocates no grid-sized array.
+    """
+
+    ROWS = ExpansionWork.ROWS + ("g", "p", "r", "d", "z", "hd", "trial", "v")
+
+
+def _inner(a: np.ndarray, b: np.ndarray, spacing: float, scratch: np.ndarray) -> float:
     # not np.dot: threaded BLAS wakes a second thread per call on long vectors
-    return spacing * float(np.sum(a * b))
+    return spacing * float(np.sum(np.multiply(a, b, out=scratch)))
 
 
-def _odd(phi: np.ndarray) -> np.ndarray:
-    """Projection onto deviations that are odd about the center sample."""
-    out = phi - phi[::-1]
+def _odd(phi: np.ndarray, out=None) -> np.ndarray:
+    """Projection onto deviations that are odd about the center sample;
+    out must not be phi."""
+    out = np.subtract(phi, phi[::-1], out=out)
     out *= 0.5
     return out
 
@@ -107,16 +121,19 @@ def _dirichlet_symbol(grid: Grid1D, params: ModelParams) -> np.ndarray:
     return linearized_symbol(k, params) - k * k + second_difference
 
 
-def _precondition(r: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+def _precondition(r: np.ndarray, symbol: np.ndarray, out=None,
+                  spectrum=None) -> np.ndarray:
     """Divide the sine coefficients of an odd r by `symbol`; ends zero.
 
     The rfft of r's first n samples holds its sine mode 2m' at index m', so
-    one length-n rfft/irfft pair applies the inverse symbol.
+    one length-n rfft/irfft pair applies the inverse symbol.  out and
+    spectrum (n/2 + 1, complex) are optional work arrays.
     """
-    spec = np.fft.rfft(r[:-1])
+    spec = np.fft.rfft(r[:-1], out=spectrum)
     spec /= symbol
-    out = np.empty_like(r)
-    out[:-1] = np.fft.irfft(spec, n=r.size - 1)
+    if out is None:
+        out = np.empty_like(r)
+    np.fft.irfft(spec, n=r.size - 1, out=out[:-1])
     out[0] = 0.0
     out[-1] = 0.0
     return out
@@ -135,55 +152,58 @@ def _mirror(v: np.ndarray, params: ModelParams) -> np.ndarray:
     """
     c = v.size // 2
     _pin(v, params)
-    v[1:c] = np.pi - v[c + 1:-1][::-1]
+    np.subtract(np.pi, v[c + 1:-1][::-1], out=v[1:c])
     v[c] = np.pi / 2
     return v
 
 
-def _newton_direction(g, expansion, symbol, spacing):
+def _newton_direction(g, expansion, symbol, spacing, work):
     """Truncated PCG on H p = -g for an odd gradient g of `expansion`.
 
     Stops when the residual falls below the forcing tolerance, at the
     iteration cap, or on a direction of negative curvature: then the
     current iterate is returned, or the preconditioned gradient step if
-    there is none yet.  The result is a descent direction.
+    there is none yet.  The result is a descent direction, held in `work`,
+    the solve's `_SolveWork`.
     """
-    g_norm = math.sqrt(_inner(g, g, spacing))
+    p, r, d, z, hd = work.p, work.r, work.d, work.z, work.hd
+    # tmp1 takes each product and preconditioned residual before projection
+    tmp, raw = work.tmp0, work.tmp1
+    g_norm = math.sqrt(_inner(g, g, spacing, tmp))
     target = min(0.5, math.sqrt(g_norm)) * g_norm
-    p = np.zeros_like(g)
-    r = g.copy()   # residual H p + g
-    z = _odd(_precondition(r, symbol))
-    d = -z
-    rz = _inner(r, z, spacing)
-    del z
+    p.fill(0.0)
+    np.copyto(r, g)   # residual H p + g
+    _odd(_precondition(r, symbol, raw, work.spectrum), z)
+    np.negative(z, out=d)
+    rz = _inner(r, z, spacing, tmp)
     for j in range(CG_MAX_ITER):
-        hd = _odd(expansion.hessian_product(d))
-        curvature = _inner(d, hd, spacing)
+        _odd(expansion.hessian_product(d, raw), hd)
+        curvature = _inner(d, hd, spacing, tmp)
         if curvature <= 0.0:
             return d if j == 0 else p
         alpha = rz / curvature
-        p += alpha * d
+        p += np.multiply(alpha, d, out=tmp)
         hd *= alpha
         r += hd
-        del hd
-        if math.sqrt(_inner(r, r, spacing)) <= target:
+        if math.sqrt(_inner(r, r, spacing, tmp)) <= target:
             break
-        z = _odd(_precondition(r, symbol))
-        rz_next = _inner(r, z, spacing)
+        _odd(_precondition(r, symbol, raw, work.spectrum), z)
+        rz_next = _inner(r, z, spacing, tmp)
         d *= rz_next / rz
         d -= z
         rz = rz_next
-        del z
     return p
 
 
-def _line_search(expansion, p, slope):
-    """Armijo backtracking from the full step; None when it stalls."""
+def _line_search(expansion, p, slope, trial):
+    """Armijo backtracking from the full step, each point formed in `trial`;
+    returns `trial` at the accepted point, None when it stalls."""
     if slope >= 0.0:
         return None
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
-        trial = expansion.v + alpha * p
+        np.multiply(alpha, p, out=trial)
+        trial += expansion.v
         if expansion.energy_change(trial) <= ARMIJO_SLOPE_FRACTION * alpha * slope:
             return trial
         alpha *= BACKTRACK_FACTOR
@@ -249,30 +269,34 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
         raise ValueError("initial profile must be pinned to the plateau angles")
 
     start = initial.with_values(clamp_values(initial.values, params))
-    v = _mirror(symmetrize_rearrange(start).values.copy(), params)
+    work = _SolveWork(grid.n_points)
+    np.copyto(work.v, symmetrize_rearrange(start).values)
+    _mirror(work.v, params)
     symbol = _dirichlet_symbol(grid, params)
     iterations = 0
     polishing = False
     while True:
-        expansion = LocalExpansion(v, grid, params)
-        g = expansion.gradient()
-        residual = float(np.max(np.abs(g)))
+        expansion = LocalExpansion(work.v, grid, params, work)
+        g = expansion.gradient(work.tmp1)
+        residual = float(np.max(np.abs(g, out=work.tmp0)))
         if residual <= opts.tol:
             if polishing:
                 break
             polishing = True
         if iterations == opts.max_iter:
             break
-        g = _odd(g)
-        p = _newton_direction(g, expansion, symbol, grid.spacing)
-        trial = _line_search(expansion, p, _inner(g, p, grid.spacing))
-        del g, p, expansion
+        g = _odd(g, work.g)
+        p = _newton_direction(g, expansion, symbol, grid.spacing, work)
+        slope = _inner(g, p, grid.spacing, work.tmp0)
+        trial = _line_search(expansion, p, slope, work.trial)
         if trial is None:
             break
-        v = _mirror(clamp_values(trial, params), params)
+        # the accepted trial's row becomes the iterate, the old iterate's
+        # row takes the next step's trials
+        work.v, work.trial = _mirror(clamp_values(trial, params, trial), params), work.v
         iterations += 1
 
-    profile = Profile(grid, v, params)
+    profile = Profile(grid, work.v, params)
     return SolveResult(
         profile=profile,
         energy=energy(profile),

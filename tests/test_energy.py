@@ -19,6 +19,7 @@ from neelwall.fractional import (
     grid_constants,
     half_laplacian_spectral_values,
 )
+from neelwall.minimize import _odd, _SolveWork
 from conftest import make_random_admissible
 
 # frozen after the first validated run; the stray part was cross-checked
@@ -116,12 +117,13 @@ class TestGradient:
         g, params = _grid_params(h=0.2)
         rng = np.random.default_rng(1)
         p = make_random_admissible(g, params, rng)
-        assert np.array_equal(nw.el_residual(p).values, nw.energy_gradient(p).values)
+        assert np.array_equal(nw.energy_gradient(p).values,
+                              gradient_values(p.values, g, params))
 
     def test_reference_is_not_a_solution(self):
         g, params = _grid_params()
         p = nw.reference_profile(g, params)
-        assert np.max(np.abs(nw.el_residual(p).values)) > 1e-2
+        assert np.max(np.abs(nw.energy_gradient(p).values)) > 1e-2
 
 
 class TestHessian:
@@ -215,6 +217,34 @@ class TestLocalExpansion:
         )
         assert np.array_equal(LocalExpansion(v, g, params).gradient(), want)
         assert np.array_equal(gradient_values(v, g, params), want)
+
+
+class TestSolveWorkArrays:
+    @pytest.mark.parametrize("nu, h", [(0.1, 0.99), (1.0, 0.0), (10.0, 0.3)])
+    def test_buffered_calls_match_allocating_bit_for_bit(self, nu, h):
+        g, params = _grid_params(h=h, nu=nu, n=512)
+        rng = np.random.default_rng(9)
+        v = clamp_values(make_random_admissible(g, params, rng).values, params)
+        other = clamp_values(make_random_admissible(g, params, rng).values, params)
+        phi = _odd(rng.normal(size=g.n_samples))
+        phi[0] = phi[-1] = 0.0
+        v_new = v + 1e-3 * phi
+
+        # NaN in every work array, then an expansion at another iterate, so
+        # that a value read before it is written shows
+        work = _SolveWork(g.n_points)
+        for name in _SolveWork.ROWS:
+            getattr(work, name).fill(np.nan)
+        work.real.fill(np.nan)
+        work.spectrum.fill(np.nan)
+        LocalExpansion(other, g, params, work)
+
+        fresh = LocalExpansion(v, g, params)
+        reused = LocalExpansion(v, g, params, work)
+        assert np.array_equal(reused.gradient(work.tmp1), fresh.gradient())
+        assert np.array_equal(reused.hessian_product(phi, work.tmp1),
+                              fresh.hessian_product(phi))
+        assert reused.energy_change(v_new) == fresh.energy_change(v_new)
 
 
 class TestClampRotations:

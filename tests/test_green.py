@@ -194,14 +194,46 @@ class TestGreenSamples:
             == nw.green_quadrature(0.0, params)
 
 
-def test_package_does_not_import_scipy_integrate():
+# solve, verify and sweep through the CLI, then one Green kernel; prints the
+# scipy modules loaded after the commands and after the kernel
+_SCIPY_GUARD = """
+import contextlib, io, os, sys
+from neelwall.cli import main
+import neelwall as nw
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+print("integrate" if "scipy.integrate" in sys.modules else "no integrate")
+path = os.path.join(sys.argv[1], "wall.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["solve", "--nu", "1", "--half-length", "10", "--points", "256",
+              "--out", path]),
+        main(["verify", "--in", path]),
+        main(["sweep", "--nu-list", "1", "2", "--h-list", "0",
+              "--half-length", "10", "--points", "256"]),
+    ]
+print(codes)
+print(scipy_modules())
+nw.green_samples(nw.make_grid(10.0, 256), nw.ModelParams(1.0, 0.0))
+print("scipy.special" in sys.modules, "scipy.integrate" in sys.modules)
+"""
+
+
+def test_package_does_not_import_scipy_integrate(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
-        [sys.executable, "-c",
-         "import neelwall.cli, sys; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    imported, codes, after_commands, after_kernel = out.stdout.splitlines()
+    assert imported == "no integrate"
+    assert codes == "[0, 0, 0]"
+    # solve, verify and sweep load no scipy module; the Green kernel loads
+    # scipy.special for exp1 and still not scipy.integrate
+    assert after_commands == "[]"
+    assert after_kernel == "True False"
 
 
 class TestApplyLinearizedOperator:
@@ -313,6 +345,27 @@ class TestDecayAmplitude:
         for (nu, h) in [(1.0, 0.0), (2.0, 0.3)]:
             report = nw.decay_amplitude(asymptotic_solves[(nu, h)].profile)
             assert report.exponent_fit == pytest.approx(-2.0, abs=0.15)
+
+    @pytest.mark.parametrize("nu, h", [(1.0, 0.0), (2.0, 0.5), (0.5, 0.3)])
+    def test_multipole_matches_far_field(self, nu, h):
+        # the far field x^2 (theta - theta_h) on [L/16, L/8] of a long,
+        # tightly converged wall; without the stray-tail charge the
+        # multipole reads 12-21% high
+        result = nw.solve_cell(nu, h, nw.SolveOptions(tol=1e-9), 320.0, 32768)
+        p = result.profile
+        x = p.grid.points
+        window = (x >= p.grid.half_length / 16) & (x <= p.grid.half_length / 8)
+        far_field = np.median(x[window] ** 2 * (p.values[window] - p.params.theta_h))
+        assert result.decay.amplitude_multipole == pytest.approx(far_field, rel=0.03)
+
+    def test_charges_sum_to_the_multipole(self, baseline):
+        p = baseline.profile
+        report = nw.decay_amplitude(p)
+        terms = nw.forcing_terms(p)
+        assert report.stray_tail_charge == -p.params.cos_theta_h * terms.w2_integral
+        assert report.stray_tail_charge < 0.0
+        assert report.amplitude_multipole == report.green_coeff * (
+            report.forcing_integral + report.corner_charge + report.stray_tail_charge)
 
     def test_amplitude_stable_under_refinement(self):
         params = nw.ModelParams(1.0, 0.0)

@@ -10,8 +10,8 @@ import neelwall as nw
 class TestMakeGrid:
     def test_small_grid_arithmetic(self):
         g = nw.make_grid(1.0, 4)
-        assert np.allclose(g.nodes, [-1.0, -0.5, 0.0, 0.5], atol=0)
-        assert g.nodes[2] == 0.0
+        assert np.allclose(g.points[:-1], [-1.0, -0.5, 0.0, 0.5], atol=0)
+        assert g.points[:-1][2] == 0.0
 
     def test_default_spacing(self):
         g = nw.make_grid(40.0, 4096)
@@ -44,7 +44,7 @@ class TestMakeGrid:
         assert np.all(np.diff(g.points) > 0)
         # exact mirror symmetry of the sample positions
         assert np.array_equal(g.points, -g.points[::-1])
-        assert g.nodes.shape == (n,)
+        assert g.points[:-1].shape == (n,)
         assert g.points.shape == (n + 1,)
 
 
@@ -52,7 +52,6 @@ class TestModelParams:
     def test_h_zero(self):
         p = nw.ModelParams(1.0, 0.0)
         assert p.theta_h == 0.0
-        assert p.c_h == pytest.approx(0.5)
 
     def test_h_half(self):
         p = nw.ModelParams(1.0, 0.5)
@@ -71,10 +70,8 @@ class TestModelParams:
     def test_derived_constants(self, h):
         p = nw.ModelParams(1.0, h)
         assert 0.0 <= p.theta_h < np.pi / 2
-        assert p.c_h > 0.0
         # pure functions of h
         assert p.theta_h == nw.ModelParams(17.0, h).theta_h
-        assert p.c_h == nw.ModelParams(17.0, h).c_h
 
 
 class TestReferenceProfile:

@@ -35,7 +35,7 @@ class TestMinimize:
         assert v[baseline.profile.grid.center_index] == np.pi / 2
 
     def test_residual_matches_el_equation(self, baseline):
-        resid = nw.el_residual(baseline.profile)
+        resid = nw.energy_gradient(baseline.profile)
         assert np.max(np.abs(resid.values)) == baseline.residual_sup
 
     def test_monotone_energy_descent(self):
@@ -190,6 +190,19 @@ class TestPrecondition:
         got = _precondition(r, symbol)
         assert got[0] == 0.0 and got[-1] == 0.0
         assert np.max(np.abs(got[1:-1] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_buffered_forms_match_allocating(self):
+        grid = nw.make_grid(20.0, 512)
+        symbol = _dirichlet_symbol(grid, nw.ModelParams(2.0, 0.5))
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=grid.n_samples)
+        r = _odd(x)
+        r[0] = r[-1] = 0.0
+        out = np.full(grid.n_samples, np.nan)
+        spectrum = np.full(grid.n_points // 2 + 1, np.nan, dtype=complex)
+        assert np.array_equal(_odd(x, out), _odd(x))
+        assert np.array_equal(_precondition(r, symbol, out, spectrum),
+                              _precondition(r, symbol))
 
     # m' = 511 is the top even interior mode on 1024 points
     @pytest.mark.parametrize("m_half", [1, 2, 37, 255, 511])
