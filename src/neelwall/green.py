@@ -137,8 +137,8 @@ def green_quadrature(x: float, params: ModelParams) -> float:
 # within _DOUBLE_ROOT_BAND of nu c = 4, where r1 and r2 merge and
 # (I(r1) - I(r2)) / (r1 - r2) is 0/0 (at the band's edge the closed form is
 # within 1e-12 of the quadrature), and below nu c = _SMALL_NU_C, where G is
-# about nu c times smaller than the exp1 terms it is the difference of, so
-# the closed form's error grows like 2e-14 / (nu c).
+# about nu c times smaller than the pole integral it is the imaginary part
+# of, so the closed form's error grows like 1e-17 / (nu c).
 _DOUBLE_ROOT_BAND = 1e-4
 _SMALL_NU_C = 1e-3
 # |z| beyond which _pole_integral sums the asymptotic series of I
@@ -146,6 +146,77 @@ _ASYMPTOTIC_Z = 64.0
 # (2j - 1)! for j = 8, ..., 1, highest order first
 _ASYMPTOTIC_COEFFS = np.array([math.factorial(2 * j - 1) for j in range(8, 0, -1)],
                               dtype=float)
+# _exp_e1 sums the power series of E1(w) where s = |w| + Re w <= _SERIES_SEAM.
+# Its terms reach about e^{|w|} / |w| and E1(w) is about e^{-Re w} / |w|, so
+# e^s is the series' condition number; beyond the seam the continued
+# fraction, which converges faster the larger s is, takes over.
+_SERIES_SEAM = 2.0
+# outer radii of the |w| bins that share a series length
+_SERIES_RADII = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, _ASYMPTOTIC_Z)
+
+
+def _series_terms(radius: float) -> int:
+    """Terms of the E1 series that suffice for |w| <= radius in the series
+    region: the first neglected term, radius^{n+1} / ((n+1) (n+1)!), is below
+    2^-53 e^{radius - seam} / (radius + 2), a lower bound on |E1(w)| there
+    (the term's ratio to that bound grows with |w| once n >= radius)."""
+    n = math.ceil(radius)
+    bound = radius - _SERIES_SEAM - math.log(radius + 2.0) - 53.0 * math.log(2.0)
+    while ((n + 1) * math.log(radius) - math.log(n + 1) - math.lgamma(n + 2)
+           > bound):
+        n += 1
+    return n
+
+
+_SERIES_LENGTHS = tuple(_series_terms(r) for r in _SERIES_RADII)
+# (-1)^{k+1} / (k k!) for k = n_max, ..., 1, highest order first
+_E1_SERIES_COEFFS = np.array([(-1) ** (k + 1) / (k * math.factorial(k))
+                              for k in range(_SERIES_LENGTHS[-1], 0, -1)])
+
+
+def _exp_e1(w: np.ndarray) -> np.ndarray:
+    """e^{w} E1(w) for complex w off the negative real axis, |w| <= 64.
+
+    Where s = |w| + Re w <= _SERIES_SEAM, the power series
+
+        E1(w) = -gamma - ln w - sum_{k>=1} (-w)^k / (k k!)
+
+    by Horner's rule, its length set by the |w| bin (Abramowitz & Stegun
+    5.1.11).  Elsewhere the even contraction of the continued fraction
+    (A&S 5.1.22)
+
+        e^{w} E1(w) = 1/(w+1-) 1^2/(w+3-) 2^2/(w+5-) ...
+
+    evaluated by backward recurrence, its depth set by the s bin, which
+    doubles from the seam.
+    """
+    out = np.empty_like(w)
+    r = np.abs(w)
+    s = r + w.real
+    series = s <= _SERIES_SEAM
+    inner = 0.0
+    for outer, n in zip(_SERIES_RADII, _SERIES_LENGTHS):
+        sel = series & (r > inner) & (r <= outer)
+        inner = outer
+        if sel.any():   # an empty bin would still cost n numpy calls
+            x = w[sel]
+            out[sel] = np.exp(x) * (-np.euler_gamma - np.log(x)
+                                    + x * np.polyval(_E1_SERIES_COEFFS[-n:], x))
+    # the fraction's truncation error falls like exp(-sqrt(8 n s)); depth
+    # 200 / s + 4 at the bin's lower edge s brings it below 2^-53 of the
+    # value at every angle (worst on the positive real axis), measured in
+    # extended precision at s = 2, 4, ..., 128
+    lo = _SERIES_SEAM
+    while lo < 2.0 * _ASYMPTOTIC_Z:
+        sel = (s > lo) & (s <= 2.0 * lo)
+        if sel.any():
+            x = w[sel]
+            t = np.zeros_like(x)
+            for k in range(math.ceil(200.0 / lo) + 4, 0, -1):
+                t = k * k / (x + (2 * k + 1) - t)
+            out[sel] = 1.0 / (x + 1.0 - t)
+        lo *= 2.0
+    return out
 
 
 def _pole_integral(z: np.ndarray) -> np.ndarray:
@@ -153,24 +224,26 @@ def _pole_integral(z: np.ndarray) -> np.ndarray:
 
         I = (e^{-z} E1(-z) + e^{z} E1(z)) / 2        (Abramowitz & Stegun 5.1)
 
-    for complex z with Re z >= 0, r off the positive real axis.  Where
-    |z| > 64 it is the asymptotic series I = -sum_{j=1..8} (2j-1)! / z^{2j},
-    whose first neglected term is below 1e-13 of the sum and of its
-    imaginary part there.  The series never forms e^{z}, which overflows
-    beyond Re z = 709, and it avoids the cancellation between the two exp1
-    terms, each about 1/z where I is about 1/z^2.
+    for complex z with 0 < arg z <= pi/2, both halves by `_exp_e1`.  On the
+    imaginary axis e^{-z} E1(-z) is the conjugate of e^{z} E1(z), so
+    only the latter is evaluated there.  Where |z| > 64 it is the
+    asymptotic series I = -sum_{j=1..8} (2j-1)! / z^{2j}, whose first
+    neglected term is below 1e-13 of the sum and of its imaginary part
+    there; it avoids the cancellation between the two halves, each about
+    1/z where I is about 1/z^2.
     """
-    # imported here, not at module level: this is the package's only scipy
-    # call, and scipy.special costs a process about 24 MB and 0.3 s to load,
-    # which a solve, sweep or verify never needs
-    from scipy.special import exp1
-
     out = np.empty_like(z)
     far = np.abs(z) > _ASYMPTOTIC_Z
-    near = z[~far]
-    out[~far] = 0.5 * (np.exp(-near) * exp1(-near) + np.exp(near) * exp1(near))
     y = 1.0 / (z[far] * z[far])
     out[far] = -y * np.polyval(_ASYMPTOTIC_COEFFS, y)
+    near = z[~far]
+    off_axis = near.real > 0.0
+    # one call for both halves: its cost is mostly per-bin numpy overhead
+    halves = _exp_e1(np.concatenate([near, -near[off_axis]]))
+    plus = halves[:near.size]
+    minus = np.conj(plus)
+    minus[off_axis] = halves[near.size:]
+    out[~far] = 0.5 * (plus + minus)
     return out
 
 
@@ -183,16 +256,23 @@ def _green_kernel_cached(n_points: int, spacing: float, nu: float, h: float) -> 
         half = np.array([green_quadrature(x, params) for x in lags])
     else:
         # 4 t^4 + (nu^2 c^2 - 8) t^2 + 4 = 4 (t^2 - r1)(t^2 - r2) with
-        # r1 + r2 = 2 (1 - q), r1 r2 = 1 and r1 - r2 = 2 d; r2 is the root
-        # of modulus >= 1, so neither root is formed by cancellation
+        # r1 + r2 = 2 (1 - q) and r1 r2 = 1
         q = (nu * c) ** 2 / 8.0
-        d = np.sqrt(complex(q * (q - 2.0)))
-        r2 = 1.0 - q - d
-        roots = np.array([1.0 / r2, r2])
-        pole = _pole_integral(lags[1:, None] * c * np.sqrt(roots))
+        p = lags[1:] * c
         half = np.empty(n_points + 1)
         half[0] = green_quadrature(0.0, params)
-        half[1:] = 2.0 * nu / np.pi * ((pole[:, 0] - pole[:, 1]) / (8.0 * d)).real
+        if q < 2.0:
+            # r1, r2 = 1 - q +- i delta on the unit circle; I(r2) = conj I(r1)
+            delta = math.sqrt(q * (2.0 - q))
+            pole = _pole_integral(p * np.sqrt(complex(1.0 - q, delta)))
+            half[1:] = 2.0 * nu / np.pi * pole.imag / (4.0 * delta)
+        else:
+            # r2 = 1 - q - d <= -1 and r1 = 1 / r2, so neither root is formed
+            # by cancellation; z = p sqrt(r) is imaginary and I is real
+            d = math.sqrt(q * (q - 2.0))
+            r2 = 1.0 - q - d
+            pole = _pole_integral(1j * p[:, None] * np.sqrt([-1.0 / r2, -r2])).real
+            half[1:] = 2.0 * nu / np.pi * (pole[:, 0] - pole[:, 1]) / (8.0 * d)
     kernel = np.concatenate([half[:0:-1], half])
     kernel.setflags(write=False)
     return kernel
@@ -206,7 +286,10 @@ def green_samples(grid: Grid1D, params: ModelParams) -> np.ndarray:
 
         G(x) = (2 nu / pi) Re[(I(r1) - I(r2)) / (4 (r1 - r2))],
 
-    I as in `_pole_integral`, vectorized exp1 calls on complex arrays.
+    I as in `_pole_integral`, one evaluation per lag and conjugate pair: for
+    nu cos(theta_h) < 4 the roots are conjugate, I(r2) = conj I(r1), and
+    G = (2 nu / pi) Im I(r1) / (4 Im r1); above 4 both roots are negative
+    and I is the real part of e^{z} E1(z) at imaginary z.  numpy only.
     Its error against green_quadrature is below 1e-10 relative.
     green_quadrature gives G(0), where the closed form is singular, and the
     whole kernel where the closed form loses digits: when

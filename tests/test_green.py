@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import sici
+from scipy.special import exp1, sici
 
 import neelwall as nw
+from neelwall import green
 from neelwall.fractional import FieldSamples
 
 
@@ -176,7 +177,7 @@ class TestGreenSamples:
     @pytest.mark.parametrize("nu, h", [(4.0, 0.0), (5.0, 0.6), (1e-6, 0.0)])
     def test_quadrature_fallback(self, nu, h):
         # nu cos(theta_h) = 4: r1 = r2 and the closed form is 0/0; at
-        # nu cos(theta_h) = 1e-6 it would be 2e-8 off near |x| c = 40
+        # nu cos(theta_h) = 1e-6 it would be 9e-12 off
         grid = nw.make_grid(40.0, 256)
         self.assert_matches_quadrature(grid, nw.ModelParams(nu, h), np.arange(257))
 
@@ -194,8 +195,63 @@ class TestGreenSamples:
             == nw.green_quadrature(0.0, params)
 
 
-# solve, verify and sweep through the CLI, then one Green kernel; prints the
-# scipy modules loaded after the commands and after the kernel
+class TestPoleIntegral:
+    """_pole_integral against scipy.special.exp1, on rays through the first
+    quadrant, at radii in [1e-3, 64] and on both sides of every radius
+    where the evaluator switches method."""
+
+    @staticmethod
+    def stieltjes(z):
+        """e^{z} E1(z) = int_0^inf e^{-t} / (t + z) dt for Re z >= 0, by quad."""
+        def integral(f):
+            return quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        def denominator(t):
+            return (t + z.real) ** 2 + z.imag ** 2
+
+        return complex(integral(lambda t: np.exp(-t) * (t + z.real) / denominator(t)),
+                       integral(lambda t: -np.exp(-t) * z.imag / denominator(t)))
+
+    def oracle(self, z):
+        # for |z| <= 5 scipy sums the power series of E1(z), which loses up
+        # to e^{|z| + Re z} (1.3e-12 relative in I near |z| = 4.8); the
+        # Stieltjes integral replaces e^{z} E1(z) there
+        plus = np.exp(z) * exp1(z)
+        disk = np.abs(z) <= 5.0
+        plus[disk] = [self.stieltjes(x) for x in z[disk]]
+        return 0.5 * (np.exp(-z) * exp1(-z) + plus)
+
+    @staticmethod
+    def switch_radii(cos_arg):
+        """|z| at each switch along the ray: the series' radius bins, the
+        asymptotic radius, and where s = |w| + Re w of either half, w = +-z,
+        meets the seam or a continued-fraction bin edge."""
+        edges = green._SERIES_SEAM * 2.0 ** np.arange(7)
+        radii = [*green._SERIES_RADII, green._ASYMPTOTIC_Z]
+        for scale in (1.0 + cos_arg, 1.0 - cos_arg):
+            if scale > 0.0:
+                radii.extend(edges / scale)
+        radii = np.array(radii)
+        radii = radii[(radii >= 1e-3) & (radii <= green._ASYMPTOTIC_Z)]
+        return np.concatenate([radii * (1.0 - 1e-9), radii * (1.0 + 1e-9)])
+
+    @pytest.mark.parametrize("degrees", [0.01, 1.0, 5.0, 20.0, 26.5, 26.7, 30.0,
+                                         45.0, 80.0, 89.9, None])
+    def test_matches_exp1(self, degrees):
+        if degrees is None:   # the imaginary axis, exactly
+            unit, cos_arg = 1j, 0.0
+        else:
+            unit, cos_arg = np.exp(1j * np.deg2rad(degrees)), np.cos(np.deg2rad(degrees))
+        radii = np.concatenate([np.geomspace(1e-3, 64.0, 61), self.switch_radii(cos_arg)])
+        z = radii * unit
+        got = green._pole_integral(z)
+        want = self.oracle(z)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+# solve, verify, sweep and green through the CLI, then one Green kernel;
+# prints the scipy modules loaded after import, after the commands and
+# after the kernel
 _SCIPY_GUARD = """
 import contextlib, io, os, sys
 from neelwall.cli import main
@@ -204,7 +260,7 @@ import neelwall as nw
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-print("integrate" if "scipy.integrate" in sys.modules else "no integrate")
+print(scipy_modules())
 path = os.path.join(sys.argv[1], "wall.json")
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
@@ -213,27 +269,27 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["verify", "--in", path]),
         main(["sweep", "--nu-list", "1", "2", "--h-list", "0",
               "--half-length", "10", "--points", "256"]),
+        main(["green", "--nu", "1", "--samples", "5"]),
     ]
 print(codes)
 print(scipy_modules())
 nw.green_samples(nw.make_grid(10.0, 256), nw.ModelParams(1.0, 0.0))
-print("scipy.special" in sys.modules, "scipy.integrate" in sys.modules)
+nw.green_samples(nw.make_grid(10.0, 256), nw.ModelParams(5.0, 0.0))
+print(scipy_modules())
 """
 
 
-def test_package_does_not_import_scipy_integrate(tmp_path):
+def test_package_imports_no_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True)
-    imported, codes, after_commands, after_kernel = out.stdout.splitlines()
-    assert imported == "no integrate"
-    assert codes == "[0, 0, 0]"
-    # solve, verify and sweep load no scipy module; the Green kernel loads
-    # scipy.special for exp1 and still not scipy.integrate
+    after_import, codes, after_commands, after_kernels = out.stdout.splitlines()
+    assert codes == "[0, 0, 0, 0]"
+    assert after_import == "[]"
     assert after_commands == "[]"
-    assert after_kernel == "True False"
+    assert after_kernels == "[]"
 
 
 class TestApplyLinearizedOperator:

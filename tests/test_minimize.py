@@ -68,6 +68,22 @@ class TestMinimize:
         assert result.iterations == iterations
         assert result.energy.total == total
 
+    @pytest.mark.parametrize("nu, h", [(1.0, 0.0), (0.1, 0.5), (5.0, 0.3)])
+    def test_hellmann_feynman(self, nu, h):
+        # E depends on nu only through the stray term (nu/4) |u|^2, so at the
+        # minimizer dE/dnu = E_stray / nu; a central difference of two
+        # tightly converged solves checks the energy assembly end to end
+        opts = nw.SolveOptions(tol=1e-9)
+        step = 1e-4
+
+        def solve(nu_):
+            result = nw.solve_cell(nu_, h, opts, 80.0, 8192)
+            assert result.converged
+            return result.energy
+
+        slope = (solve(nu + step).total - solve(nu - step).total) / (2 * step)
+        assert slope == pytest.approx(solve(nu).stray / nu, rel=1e-9, abs=0.0)
+
     def test_iterations_flat_under_refinement(self):
         params = nw.ModelParams(1.0, 0.0)
         counts = []
