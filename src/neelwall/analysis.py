@@ -187,15 +187,14 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
     use, when `parallel` is set; the solves are pure, so serial and
     concurrent sweeps produce identical tables.  Per-cell failures
     are recorded in their row and never abort the sweep.
-    """
-    for nu in nu_values:
-        if nu <= 0:
-            raise ValueError(f"all nu values must be positive, got {nu}")
-    for h in h_values:
-        if not 0.0 <= h < 1.0:
-            raise ValueError(f"all h values must lie in [0, 1), got {h}")
 
+    Raises:
+        ValueError: an invalid grid, or a (nu, h) cell that ModelParams rejects.
+    """
+    make_grid(half_length, n_points)   # raises ValueError on an invalid grid
     cells = [(nu, h) for nu in sorted(nu_values) for h in sorted(h_values)]
+    for nu, h in cells:
+        ModelParams(nu, h)   # and on an invalid cell
     if not cells:
         return SweepTable(rows=[])
     if parallel and len(cells) > 1:

@@ -28,7 +28,6 @@ import numpy as np
 from .fractional import (
     FieldSamples,
     detrended,
-    grid_constants,
     half_laplacian_spectral_values,
 )
 from .grid import Grid1D, ModelParams, Profile
@@ -51,11 +50,10 @@ def _stray_quadratic_form(u: np.ndarray, grid: Grid1D, real=None,
     real and spectrum are optional work arrays, as in
     `half_laplacian_spectral_values`.
     """
-    kw = grid_constants(grid).weighted_wavenumbers
     uhat = np.fft.rfft(detrended(u, grid, real), out=spectrum)
     power = np.abs(uhat, out=None if real is None else real[:uhat.size])
     np.square(power, out=power)
-    power *= kw
+    power *= grid.weighted_wavenumbers
     return float(grid.spacing / grid.n_points * np.sum(power))
 
 
@@ -65,7 +63,7 @@ def energy_parts(values: np.ndarray, grid: Grid1D, params: ModelParams):
     d = np.diff(values)
     exchange = 0.5 * float(np.sum(d * d)) / s
     u = np.sin(values) - params.h
-    anisotropy = 0.5 * float(np.sum(grid_constants(grid).trapezoid * u * u))
+    anisotropy = 0.5 * float(np.sum(grid.trapezoid * u * u))
     stray = 0.25 * params.nu * _stray_quadratic_form(u, grid)
     return exchange, anisotropy, stray
 
@@ -189,7 +187,6 @@ class LocalExpansion:
         """
         v, grid, params, work = self.v, self.grid, self.params, self.work
         s = grid.spacing
-        const = grid_constants(grid)
 
         # da (2a + da), a = diff v, da = diff v_new - a
         a = np.subtract(v[1:], v[:-1], out=work.tmp0[:-1])
@@ -210,7 +207,7 @@ class LocalExpansion:
         du *= 2.0
         du *= t
         # trapezoid du (2u + du)
-        t = np.multiply(const.trapezoid, du, out=work.tmp1)
+        t = np.multiply(grid.trapezoid, du, out=work.tmp1)
         t *= np.add(np.multiply(2.0, self.u, out=work.tmp2), du, out=work.tmp2)
         d_anisotropy = 0.5 * float(np.sum(t))
 
@@ -236,12 +233,6 @@ def gradient_values(values: np.ndarray, grid: Grid1D, params: ModelParams) -> np
     """L2 gradient of the discrete energy; zero at the pinned endpoints
     (`LocalExpansion.gradient` at values)."""
     return LocalExpansion(values, grid, params).gradient()
-
-
-def hessian_operator(values: np.ndarray, grid: Grid1D, params: ModelParams):
-    """Second variation of the discrete energy at `values`, as phi -> H phi
-    (`LocalExpansion.hessian_product` at values)."""
-    return LocalExpansion(values, grid, params).hessian_product
 
 
 def energy_gradient(p: Profile) -> FieldSamples:

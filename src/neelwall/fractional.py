@@ -17,7 +17,6 @@ difference quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,47 +46,10 @@ class FieldSamples:
         object.__setattr__(self, "values", v)
 
 
-class GridConstants:
-    """Read-only per-grid arrays shared by every caller on the grid.
-
-    wavenumbers: |k| of the rfft modes, k_m = pi m / half_length.
-    weighted_wavenumbers: |k| times the mode's rfft multiplicity (1 for the
-        mean and Nyquist modes, else 2), to sum over the full spectrum.
-    ramp: i / n_points at the first n_points samples, for detrending.
-    trapezoid: trapezoid-rule weights of the samples.
-    """
-
-    __slots__ = ("wavenumbers", "weighted_wavenumbers", "ramp", "trapezoid")
-
-    def __init__(self, n_points: int, spacing: float):
-        k = 2.0 * np.pi * np.fft.rfftfreq(n_points, d=spacing)
-        mult = np.full(k.size, 2.0)
-        mult[0] = 1.0
-        mult[-1] = 1.0
-        w = np.full(n_points + 1, spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self.wavenumbers = k
-        self.weighted_wavenumbers = mult * k
-        self.ramp = np.arange(n_points) / n_points
-        self.trapezoid = w
-        for name in self.__slots__:
-            getattr(self, name).setflags(write=False)
-
-
-_grid_constants = lru_cache(maxsize=8)(GridConstants)
-
-
-def grid_constants(grid: Grid1D) -> GridConstants:
-    """The grid's spectral and quadrature constants, cached per grid."""
-    return _grid_constants(grid.n_points, grid.spacing)
-
-
 def detrended(values: np.ndarray, grid: Grid1D, out=None) -> np.ndarray:
     """The first n_points samples less the line through the endpoint values,
     one period of a continuous periodic extension; written to `out` if given."""
-    ramp = grid_constants(grid).ramp
-    out = np.multiply(values[-1] - values[0], ramp, out=out)
+    out = np.multiply(values[-1] - values[0], grid.ramp, out=out)
     out += values[0]
     return np.subtract(values[:-1], out, out=out)
 
@@ -105,7 +67,7 @@ def half_laplacian_spectral_values(values: np.ndarray, grid: Grid1D, out=None,
     if out is None:
         out = np.empty(grid.n_samples)
     spectrum = np.fft.rfft(detrended(values, grid, real), out=spectrum)
-    spectrum *= grid_constants(grid).wavenumbers
+    spectrum *= grid.wavenumbers
     np.fft.irfft(spectrum, n=grid.n_points, out=out[:-1])
     out[-1] = out[0]
     return out
@@ -194,7 +156,7 @@ def h_half_seminorm_sq(u: FieldSamples) -> float:
     grid = u.grid
     v = u.values - np.mean(u.values)  # shift invariance; keeps sums small
     s = grid.spacing
-    w = grid_constants(grid).trapezoid
+    w = grid.trapezoid
 
     n = grid.n_points
     lags = np.arange(-n, n + 1, dtype=float)

@@ -11,7 +11,7 @@ green_decay_coeff / x^2.  It has an integral representation over t in
 fractions turn it into exponential integrals E1 at p sqrt(r1) and
 p sqrt(r2), p = |x| cos(theta_h), which `green_samples` evaluates for a
 whole grid of lags at once.  G(0), and the whole kernel near the double
-root at nu cos(theta_h) = 4 or for nu cos(theta_h) < 1e-3, come from
+root at nu cos(theta_h) = 4 or for nu cos(theta_h) < 1e-5, come from
 `green_quadrature`, which integrates the same integral by composite
 Gauss-Legendre quadrature independently of the closed form and checks it.
 
@@ -38,7 +38,6 @@ import numpy as np
 from .fractional import (
     FieldSamples,
     _lag_convolve,
-    grid_constants,
     half_laplacian_spectral_values,
 )
 from .grid import Grid1D, ModelParams, Profile
@@ -138,9 +137,11 @@ def green_quadrature(x: float, params: ModelParams) -> float:
 # (I(r1) - I(r2)) / (r1 - r2) is 0/0 (at the band's edge the closed form is
 # within 1e-12 of the quadrature), and below nu c = _SMALL_NU_C, where G is
 # about nu c times smaller than the pole integral it is the imaginary part
-# of, so the closed form's error grows like 1e-17 / (nu c).
+# of, so the closed form's error grows like 1e-17 / (nu c): at L = 40,
+# N = 4096 it is within 1.3e-12 of the quadrature for nu c in [1e-5, 1e-3],
+# and 8.7e-12 off at nu c = 1e-6.
 _DOUBLE_ROOT_BAND = 1e-4
-_SMALL_NU_C = 1e-3
+_SMALL_NU_C = 1e-5
 # |z| beyond which _pole_integral sums the asymptotic series of I
 _ASYMPTOTIC_Z = 64.0
 # (2j - 1)! for j = 8, ..., 1, highest order first
@@ -248,10 +249,27 @@ def _pole_integral(z: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _green_kernel_cached(n_points: int, spacing: float, nu: float, h: float) -> np.ndarray:
-    params = ModelParams(nu, h)
+def green_samples(grid: Grid1D, params: ModelParams) -> np.ndarray:
+    """G sampled at every lag of the grid, cached per (grid, params).
+
+    Off x = 0, G is the closed form of its integral: with p = |x| cos(theta_h)
+    and r1, r2 the roots in t^2 of the integrand's denominator,
+
+        G(x) = (2 nu / pi) Re[(I(r1) - I(r2)) / (4 (r1 - r2))],
+
+    I as in `_pole_integral`, one evaluation per lag and conjugate pair: for
+    nu cos(theta_h) < 4 the roots are conjugate, I(r2) = conj I(r1), and
+    G = (2 nu / pi) Im I(r1) / (4 Im r1); above 4 both roots are negative
+    and I is the real part of e^{z} E1(z) at imaginary z.  numpy only.
+    Its error against green_quadrature is below 1e-10 relative.
+    green_quadrature gives G(0), where the closed form is singular, and the
+    whole kernel where the closed form loses digits: when
+    |nu cos(theta_h) - 4| < 1e-4, where the roots merge, and when
+    nu cos(theta_h) < 1e-5.
+    """
+    nu, n_points = params.nu, grid.n_points
     c = params.cos_theta_h
-    lags = np.arange(n_points + 1) * spacing
+    lags = np.arange(n_points + 1) * grid.spacing
     if abs(nu * c - 4.0) < _DOUBLE_ROOT_BAND or nu * c < _SMALL_NU_C:
         half = np.array([green_quadrature(x, params) for x in lags])
     else:
@@ -276,27 +294,6 @@ def _green_kernel_cached(n_points: int, spacing: float, nu: float, h: float) -> 
     kernel = np.concatenate([half[:0:-1], half])
     kernel.setflags(write=False)
     return kernel
-
-
-def green_samples(grid: Grid1D, params: ModelParams) -> np.ndarray:
-    """G sampled at every lag of the grid, cached per (grid, params).
-
-    Off x = 0, G is the closed form of its integral: with p = |x| cos(theta_h)
-    and r1, r2 the roots in t^2 of the integrand's denominator,
-
-        G(x) = (2 nu / pi) Re[(I(r1) - I(r2)) / (4 (r1 - r2))],
-
-    I as in `_pole_integral`, one evaluation per lag and conjugate pair: for
-    nu cos(theta_h) < 4 the roots are conjugate, I(r2) = conj I(r1), and
-    G = (2 nu / pi) Im I(r1) / (4 Im r1); above 4 both roots are negative
-    and I is the real part of e^{z} E1(z) at imaginary z.  numpy only.
-    Its error against green_quadrature is below 1e-10 relative.
-    green_quadrature gives G(0), where the closed form is singular, and the
-    whole kernel where the closed form loses digits: when
-    |nu cos(theta_h) - 4| < 1e-4, where the roots merge, and when
-    nu cos(theta_h) < 1e-3.
-    """
-    return _green_kernel_cached(grid.n_points, grid.spacing, params.nu, params.h)
 
 
 def apply_linearized_operator(u: FieldSamples, params: ModelParams) -> FieldSamples:
@@ -389,7 +386,7 @@ def forcing_terms(p: Profile) -> ForcingTerms:
         f3=FieldSamples(grid, f3),
         f_total=FieldSamples(grid, f_total),
         corner_charge=float(corner_charge),
-        w2_integral=float(np.sum(grid_constants(grid).trapezoid * w2)),
+        w2_integral=float(np.sum(grid.trapezoid * w2)),
     )
 
 
@@ -429,7 +426,7 @@ def decay_amplitude(p: Profile) -> DecayReport:
     """
     terms = forcing_terms(p)
     grid, params = p.grid, p.params
-    forcing_integral = float(np.sum(grid_constants(grid).trapezoid * terms.f_total.values))
+    forcing_integral = float(np.sum(grid.trapezoid * terms.f_total.values))
     coeff = green_decay_coeff(params)
     stray_tail_charge = -params.cos_theta_h * terms.w2_integral
     amplitude_multipole = coeff * (forcing_integral + terms.corner_charge
@@ -465,5 +462,5 @@ def convolve_green(f: FieldSamples, params: ModelParams) -> FieldSamples:
     lag (cached).  Reconstructs L^{-1} f on the grid.
     """
     grid = f.grid
-    weighted = f.values * grid_constants(grid).trapezoid
+    weighted = f.values * grid.trapezoid
     return FieldSamples(grid, _lag_convolve(weighted, green_samples(grid, params)))

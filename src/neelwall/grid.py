@@ -10,14 +10,22 @@ monodomain angles pi - theta_h (left) and theta_h (right) at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform symmetric discretization of [-half_length, half_length].
+    """Uniform symmetric discretization of [-half_length, half_length], and
+    the one home of its derived arrays.
+
+    Equal and hashed by (half_length, n_points).  Positions are computed as
+    spacing * (i - n_points // 2) so that the center sample is exactly 0.0
+    and the grid is exactly mirror symmetric in floating point, which the
+    symmetrization and recentering operators rely on.  Every array is
+    read-only; all but points are built on first use (threads that race to
+    a first use may each build one; the copies are equal).
 
     Attributes:
         half_length: nominal half extent of the domain (> 0)
@@ -25,12 +33,30 @@ class Grid1D:
         spacing: cell width, 2 * half_length / n_points
         points: the n_points + 1 sample positions; points[n_points // 2] == 0.0
             exactly and points[i] == -points[n_points - i] exactly
+
+    Raises:
+        ValueError: non-positive or infinite half_length, odd n_points, or
+            n_points < 4.
     """
 
     half_length: float
     n_points: int
-    spacing: float
-    points: np.ndarray
+    spacing: float = field(init=False, compare=False)
+    points: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if not np.isfinite(self.half_length) or self.half_length <= 0:
+            raise ValueError(f"half_length must be positive, got {self.half_length}")
+        if self.n_points % 2 != 0:
+            raise ValueError(f"n_points must be even, got {self.n_points}")
+        if self.n_points < 4:
+            raise ValueError(f"n_points must be >= 4, got {self.n_points}")
+        n = int(self.n_points)
+        spacing = 2.0 * float(self.half_length) / n
+        object.__setattr__(self, "half_length", float(self.half_length))
+        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "points", _read_only(spacing * (np.arange(n + 1) - n // 2)))
 
     @property
     def n_samples(self) -> int:
@@ -40,37 +66,43 @@ class Grid1D:
     def center_index(self) -> int:
         return self.n_points // 2
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Grid1D):
-            return NotImplemented
-        return (self.half_length == other.half_length
-                and self.n_points == other.n_points)
+    @cached_property
+    def trapezoid(self) -> np.ndarray:
+        """Trapezoid-rule weights of the samples."""
+        w = np.full(self.n_samples, self.spacing)
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return _read_only(w)
 
-    def __hash__(self) -> int:
-        return hash((self.half_length, self.n_points))
+    @cached_property
+    def wavenumbers(self) -> np.ndarray:
+        """|k| of the rfft modes, k_m = pi m / half_length."""
+        return _read_only(2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing))
+
+    @cached_property
+    def weighted_wavenumbers(self) -> np.ndarray:
+        """|k| times the mode's rfft multiplicity (1 for the mean and Nyquist
+        modes, else 2), to sum over the full spectrum."""
+        mult = np.full(self.wavenumbers.size, 2.0)
+        mult[0] = 1.0
+        mult[-1] = 1.0
+        return _read_only(mult * self.wavenumbers)
+
+    @cached_property
+    def ramp(self) -> np.ndarray:
+        """i / n_points at the first n_points samples, for detrending."""
+        return _read_only(np.arange(self.n_points) / self.n_points)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=8)
 def make_grid(half_length: float, n_points: int) -> Grid1D:
-    """Build a symmetric uniform grid; one shared Grid1D per argument pair.
-
-    Positions are computed as spacing * (i - n_points // 2) so that the center
-    sample is exactly 0.0 and the grid is exactly mirror symmetric in floating
-    point, which the symmetrization and recentering operators rely on.
-
-    Raises:
-        ValueError: non-positive half_length, odd n_points, or n_points < 4.
-    """
-    if not np.isfinite(half_length) or half_length <= 0:
-        raise ValueError(f"half_length must be positive, got {half_length}")
-    if n_points % 2 != 0:
-        raise ValueError(f"n_points must be even, got {n_points}")
-    if n_points < 4:
-        raise ValueError(f"n_points must be >= 4, got {n_points}")
-    spacing = 2.0 * half_length / n_points
-    points = spacing * (np.arange(n_points + 1) - n_points // 2)
-    points.setflags(write=False)
-    return Grid1D(float(half_length), int(n_points), float(spacing), points)
+    """Build a symmetric uniform grid; one shared Grid1D per argument pair."""
+    return Grid1D(half_length, n_points)
 
 
 @dataclass(frozen=True)

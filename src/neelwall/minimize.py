@@ -34,6 +34,7 @@ array of the loop lives in one `_SolveWork` per solve.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +48,6 @@ from .energy import (
     energy,
     symmetrize_rearrange,
 )
-from .fractional import grid_constants
 from .green import DecayReport, linearized_symbol
 from .grid import Grid1D, ModelParams, Profile
 
@@ -65,10 +65,11 @@ class SolveOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not math.isfinite(self.tol) or self.tol <= 0:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        # a fractional or non-finite max_iter would never equal the step count
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -116,7 +117,7 @@ def _dirichlet_symbol(grid: Grid1D, params: ModelParams) -> np.ndarray:
     """Preconditioner symbol at the periodic wavenumbers k = pi m' / half_length,
     m' = 0..n_points/2: the linearized symbol with k^2 replaced by the second
     difference's eigenvalue (4/s^2) sin^2(k s/2)."""
-    k = grid_constants(grid).wavenumbers
+    k = grid.wavenumbers
     second_difference = (2.0 / grid.spacing * np.sin(0.5 * grid.spacing * k)) ** 2
     return linearized_symbol(k, params) - k * k + second_difference
 

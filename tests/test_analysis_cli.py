@@ -110,6 +110,12 @@ class TestSweep:
             nw.sweep([-1.0], [0.0])
         with pytest.raises(ValueError):
             nw.sweep([1.0], [1.0])
+        for nu, h in [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)]:
+            with pytest.raises(ValueError):
+                nw.sweep([nu], [h])
+        for half_length, n_points in [(np.nan, 512), (20.0, 5)]:
+            with pytest.raises(ValueError):
+                nw.sweep([1.0], [0.0], half_length=half_length, n_points=n_points)
 
     def test_rows_lexicographic_and_converged(self):
         table = nw.sweep([1.0, 0.5], [0.3, 0.0],

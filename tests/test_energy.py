@@ -12,11 +12,9 @@ from neelwall.energy import (
     energy_delta,
     energy_parts,
     gradient_values,
-    hessian_operator,
 )
 from neelwall.fractional import (
     detrended,
-    grid_constants,
     half_laplacian_spectral_values,
 )
 from neelwall.minimize import _odd, _SolveWork
@@ -142,7 +140,7 @@ class TestHessian:
         g, params = _grid_params(h=h, nu=nu, n=512)
         rng = np.random.default_rng(7)
         v = clamp_values(make_random_admissible(g, params, rng).values, params)
-        hess = hessian_operator(v, g, params)
+        hess = LocalExpansion(v, g, params).hessian_product
         t = 1e-5
         for _ in range(5):
             phi = self._odd_interior(g, rng)
@@ -156,7 +154,7 @@ class TestHessian:
         g, params = _grid_params(h=h, nu=nu, n=512)
         rng = np.random.default_rng(8)
         v = clamp_values(make_random_admissible(g, params, rng).values, params)
-        hess = hessian_operator(v, g, params)
+        hess = LocalExpansion(v, g, params).hessian_product
         phi, psi = self._odd_interior(g, rng), self._odd_interior(g, rng)
         h_phi, h_psi = hess(phi), hess(psi)
         lhs = float(np.sum(phi * h_psi))
@@ -169,18 +167,17 @@ def _two_transform_delta(v, v_new, grid, params):
     """E(v_new) - E(v) with the stray change as the polarization
     <P(2u + du), Lam P du>, one rfft of each factor."""
     s = grid.spacing
-    const = grid_constants(grid)
     a = np.diff(v)
     da = np.diff(v_new) - a
     d_exchange = 0.5 * float(np.sum(da * (2.0 * a + da))) / s
     u = np.sin(v) - params.h
     du = 2.0 * np.cos(0.5 * (v_new + v)) * np.sin(0.5 * (v_new - v))
-    d_anisotropy = 0.5 * float(np.sum(const.trapezoid * du * (2.0 * u + du)))
+    d_anisotropy = 0.5 * float(np.sum(grid.trapezoid * du * (2.0 * u + du)))
     fa = np.fft.rfft(detrended(2.0 * u + du, grid))
     fb = np.fft.rfft(detrended(du, grid))
     d_stray = 0.25 * params.nu * float(
         s / grid.n_points
-        * np.sum(const.weighted_wavenumbers * (fa * np.conj(fb)).real))
+        * np.sum(grid.weighted_wavenumbers * (fa * np.conj(fb)).real))
     return d_exchange + d_anisotropy + d_stray
 
 

@@ -167,7 +167,7 @@ class TestGreenSamples:
         (1.0, 0.0), (0.5, 0.3), (2.0, 0.99),   # nu c < 4: complex roots
         (5.0, 0.0), (10.0, 0.5), (1000.0, 0.0),  # nu c > 4: real roots
         (3.9998, 0.0), (4.0002, 0.0),          # just outside the double-root band
-        (1e-3, 0.0),
+        (1e-3, 0.0), (1e-4, 0.0), (2e-5, 0.5),  # small nu c: closed form
     ])
     def test_matches_quadrature(self, nu, h):
         grid = nw.make_grid(40.0, 4096)

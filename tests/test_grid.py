@@ -21,19 +21,36 @@ class TestMakeGrid:
         # a stored wall loaded twice holds one grid, not two copies of it
         g = nw.make_grid(40, 4096)
         assert g is nw.make_grid(40.0, 4096)
-        assert not g.points.flags.writeable
-        with pytest.raises(ValueError):
-            g.points[0] = 0.0
+        # a grid built directly equals the shared one and hashes alike
+        assert nw.Grid1D(40, 4096) == g
+        assert hash(nw.Grid1D(40, 4096)) == hash(g)
+        assert nw.Grid1D(40, 2048) != g
+        for name in ("points", "trapezoid", "wavenumbers",
+                     "weighted_wavenumbers", "ramp"):
+            array = getattr(g, name)
+            assert array is getattr(g, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_one_green_kernel_per_grid_and_params(self):
+        grid, params = nw.make_grid(10.0, 64), nw.ModelParams(1.0, 0.2)
+        kernel = nw.green_samples(grid, params)
+        assert nw.green_samples(nw.Grid1D(10.0, 64), nw.ModelParams(1.0, 0.2)) is kernel
 
     def test_rejects_odd_count(self):
-        with pytest.raises(ValueError):
-            nw.make_grid(1.0, 5)
+        # and fewer than 4 points, built either way
+        for build in (nw.make_grid, nw.Grid1D):
+            for n_points in (5, 2, 0, -4):
+                with pytest.raises(ValueError):
+                    build(1.0, n_points)
 
     def test_rejects_nonpositive_half_length(self):
-        with pytest.raises(ValueError):
-            nw.make_grid(0.0, 16)
-        with pytest.raises(ValueError):
-            nw.make_grid(-3.0, 16)
+        # and a non-finite one, built either way
+        for build in (nw.make_grid, nw.Grid1D):
+            for half_length in (0.0, -3.0, np.inf, np.nan):
+                with pytest.raises(ValueError):
+                    build(half_length, 16)
 
     @given(n=st.integers(2, 64).map(lambda k: 2 * k),
            half_length=st.floats(0.5, 100.0, allow_nan=False))

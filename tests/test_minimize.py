@@ -19,8 +19,14 @@ class TestSolveOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             nw.SolveOptions(tol=0.0)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                nw.SolveOptions(tol=tol)
         with pytest.raises(ValueError):
             nw.SolveOptions(max_iter=0)
+        for max_iter in (np.nan, np.inf, 2.5):
+            with pytest.raises(ValueError):
+                nw.SolveOptions(max_iter=max_iter)
 
 
 class TestMinimize:
