@@ -12,7 +12,7 @@ import numpy as np
 
 from .energy import EnergyBreakdown
 from .green import DecayReport, decay_amplitude
-from .grid import ModelParams, Profile, make_grid, reference_profile
+from .grid import ModelParams, Profile, check_transition_fits, make_grid, reference_profile
 from .minimize import SolveOptions, SolveResult, find_crossing, minimize
 
 DEFAULT_HALF_LENGTH = 40.0
@@ -189,9 +189,10 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
     are recorded in their row and never abort the sweep.
 
     Raises:
-        ValueError: an invalid grid, or a (nu, h) cell that ModelParams rejects.
+        ValueError: an invalid grid or one with half_length < 2, or a (nu, h)
+            cell that ModelParams rejects.
     """
-    make_grid(half_length, n_points)   # raises ValueError on an invalid grid
+    check_transition_fits(make_grid(half_length, n_points))   # ValueError if invalid
     cells = [(nu, h) for nu in sorted(nu_values) for h in sorted(h_values)]
     for nu, h in cells:
         ModelParams(nu, h)   # and on an invalid cell

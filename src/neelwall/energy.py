@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import (
-    FieldSamples,
     detrended,
     half_laplacian_spectral_values,
+    spectral_quadratic_form,
 )
-from .grid import Grid1D, ModelParams, Profile
+from .grid import FieldSamples, Grid1D, ModelParams, Profile, fold, second_difference
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,6 @@ class EnergyBreakdown:
     total: float
 
 
-def _stray_quadratic_form(u: np.ndarray, grid: Grid1D, real=None,
-                          spectrum=None) -> float:
-    """s * <u, halfLap u> over one period of the detrended extension, >= 0.
-
-    real and spectrum are optional work arrays, as in
-    `half_laplacian_spectral_values`.
-    """
-    uhat = np.fft.rfft(detrended(u, grid, real), out=spectrum)
-    power = np.abs(uhat, out=None if real is None else real[:uhat.size])
-    np.square(power, out=power)
-    power *= grid.weighted_wavenumbers
-    return float(grid.spacing / grid.n_points * np.sum(power))
-
-
 def energy_parts(values: np.ndarray, grid: Grid1D, params: ModelParams):
     """(exchange, anisotropy, stray) for a raw value array."""
     s = grid.spacing
@@ -64,7 +50,7 @@ def energy_parts(values: np.ndarray, grid: Grid1D, params: ModelParams):
     exchange = 0.5 * float(np.sum(d * d)) / s
     u = np.sin(values) - params.h
     anisotropy = 0.5 * float(np.sum(grid.trapezoid * u * u))
-    stray = 0.25 * params.nu * _stray_quadratic_form(u, grid)
+    stray = 0.25 * params.nu * spectral_quadratic_form(u, grid)
     return exchange, anisotropy, stray
 
 
@@ -133,11 +119,7 @@ class LocalExpansion:
         g = np.empty_like(v) if out is None else out
         g[0] = g[-1] = 0.0
         # -theta_xx + cos sin - h cos + (nu/2) cos lam, left to right
-        gi, t = g[1:-1], self.work.tmp0[1:-1]
-        np.multiply(2.0, v[1:-1], out=gi)
-        np.subtract(v[2:], gi, out=gi)
-        gi += v[:-2]
-        gi /= s * s
+        gi, t = second_difference(v, s, g[1:-1]), self.work.tmp0[1:-1]
         np.negative(gi, out=gi)
         gi += np.multiply(cos_t[1:-1], sin_t[1:-1], out=t)
         gi -= np.multiply(self.params.h, cos_t[1:-1], out=t)
@@ -159,18 +141,13 @@ class LocalExpansion:
         out must not be phi.
         """
         work = self.work
-        s2 = self.grid.spacing * self.grid.spacing
         t = np.multiply(self.cos, phi, out=work.tmp0)
         out = half_laplacian_spectral_values(t, self.grid, out, work.real,
                                              work.spectrum)
         out *= self.cos
         out *= 0.5 * self.params.nu
         out += np.multiply(self.diag, phi, out=t)
-        phi_xx = np.multiply(2.0, phi[1:-1], out=t[1:-1])
-        np.subtract(phi[2:], phi_xx, out=phi_xx)
-        phi_xx += phi[:-2]
-        phi_xx /= s2
-        out[1:-1] -= phi_xx
+        out[1:-1] -= second_difference(phi, self.grid.spacing, t[1:-1])
         out[0] = 0.0
         out[-1] = 0.0
         return out
@@ -217,7 +194,7 @@ class LocalExpansion:
         pdu *= self.lam[:-1]
         cross = 2.0 * s * float(np.sum(pdu))
         d_stray = 0.25 * params.nu * (
-            cross + _stray_quadratic_form(du, grid, work.real, work.spectrum))
+            cross + spectral_quadratic_form(du, grid, work.real, work.spectrum))
 
         return d_exchange + d_anisotropy + d_stray
 
@@ -270,6 +247,13 @@ def clamp_rotations(p: Profile) -> Profile:
     return p.with_values(clamp_values(p.values, p.params))
 
 
+def _check_clamped(p: Profile):
+    """Raise ValueError unless p lies in [theta_h, pi - theta_h], up to 1e-12."""
+    lo, hi = p.params.theta_h, np.pi - p.params.theta_h
+    if np.any(p.values < lo - 1e-12) or np.any(p.values > hi + 1e-12):
+        raise ValueError("profile values outside [theta_h, pi - theta_h]; clamp first")
+
+
 def _folded_segments(v, grid, params):
     """(seg_lo, seg_hi, seg_w, levels) of the folded deviation rho - theta_h.
 
@@ -277,8 +261,7 @@ def _folded_segments(v, grid, params):
     into two halves rising to pi/2 - theta_h; levels are the distinct
     endpoint values with 0 and pi/2 - theta_h, descending.
     """
-    rho = np.where(v <= np.pi / 2, v, np.pi - v)
-    dev = np.clip(rho - params.theta_h, 0.0, np.pi / 2 - params.theta_h)
+    dev = np.clip(fold(v) - params.theta_h, 0.0, np.pi / 2 - params.theta_h)
     dev_max = np.pi / 2 - params.theta_h
     s = grid.spacing
 
@@ -359,10 +342,7 @@ def symmetrize_rearrange(p: Profile) -> Profile:
     params = p.params
     grid = p.grid
     v = p.values
-    lo, hi = params.theta_h, np.pi - params.theta_h
-    slack = 1e-12
-    if np.any(v < lo - slack) or np.any(v > hi + slack):
-        raise ValueError("profile must be clamped to [theta_h, pi - theta_h] first")
+    _check_clamped(p)
 
     c = grid.center_index
     already = (np.all(np.diff(v) <= 0.0)
@@ -405,14 +385,11 @@ def sin_midpoint(p1: Profile, p2: Profile, t: float) -> Profile:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     params = p1.params
-    lo, hi = params.theta_h, np.pi - params.theta_h
-    slack = 1e-12
     for q in (p1, p2):
         c = q.grid.center_index
         if abs(q.values[c] - np.pi / 2) > 1e-9:
             raise ValueError("profiles must be recentered (pi/2 at x = 0)")
-        if np.any(q.values < lo - slack) or np.any(q.values > hi + slack):
-            raise ValueError("profile values outside [theta_h, pi - theta_h]")
+        _check_clamped(q)
 
     m = t * np.sin(p1.values) + (1.0 - t) * np.sin(p2.values)
     m = np.clip(m, -1.0, 1.0)

@@ -16,34 +16,14 @@ difference quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grid import Grid1D
+from .grid import FieldSamples, Grid1D
 
 # Principal-value window radius in units of the grid spacing.  Wide enough
 # that the second-difference Taylor correction is stable, narrow enough to
 # keep the quadrature error local.
 PV_WINDOW_CELLS = 4
-
-
-@dataclass(frozen=True)
-class FieldSamples:
-    """Samples of a scalar field on the grid's n_points + 1 positions."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_samples,):
-            raise ValueError(
-                f"values must have length {self.grid.n_samples}, got {v.shape}"
-            )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def detrended(values: np.ndarray, grid: Grid1D, out=None) -> np.ndarray:
@@ -71,6 +51,20 @@ def half_laplacian_spectral_values(values: np.ndarray, grid: Grid1D, out=None,
     np.fft.irfft(spectrum, n=grid.n_points, out=out[:-1])
     out[-1] = out[0]
     return out
+
+
+def spectral_quadratic_form(u: np.ndarray, grid: Grid1D, real=None,
+                            spectrum=None) -> float:
+    """s * <u, halfLap u> over one period of the detrended extension, >= 0.
+
+    real and spectrum are optional work arrays, as in
+    `half_laplacian_spectral_values`.
+    """
+    uhat = np.fft.rfft(detrended(u, grid, real), out=spectrum)
+    power = np.abs(uhat, out=None if real is None else real[:uhat.size])
+    np.square(power, out=power)
+    power *= grid.weighted_wavenumbers
+    return float(grid.spacing / grid.n_points * np.sum(power))
 
 
 def half_laplacian_spectral(u: FieldSamples) -> FieldSamples:

@@ -35,12 +35,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fractional import (
+from .fractional import _lag_convolve, half_laplacian_spectral_values
+from .grid import (
     FieldSamples,
-    _lag_convolve,
-    half_laplacian_spectral_values,
+    Grid1D,
+    ModelParams,
+    Profile,
+    composite_gauss_legendre,
+    fold,
+    second_difference,
 )
-from .grid import Grid1D, ModelParams, Profile
 
 
 def linearized_symbol(k, params: ModelParams):
@@ -65,19 +69,6 @@ def green_decay_coeff(params: ModelParams) -> float:
 
 # 1, 1/2, ..., 2^-47: panel edges graded toward t = 0 and u = 0
 _GRADED = 2.0 ** -np.arange(48.0)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _composite_rule(edges: np.ndarray, n: int):
-    """Nodes and weights of the n-point rule on each panel, one row per panel."""
-    nodes, weights = _gauss_legendre(n)
-    half = 0.5 * np.diff(edges)[:, None]
-    return edges[:-1, None] + half * (1.0 + nodes), half * weights
 
 
 def green_quadrature(x: float, params: ModelParams) -> float:
@@ -116,8 +107,8 @@ def green_quadrature(x: float, params: ModelParams) -> float:
     u_edges = np.concatenate([[0.0], _GRADED[::-1]])
 
     def panel_sums(n):
-        t, wt = _composite_rule(t_edges, n)
-        u, wu = _composite_rule(u_edges, n)
+        t, wt = composite_gauss_legendre(t_edges, n)
+        u, wu = composite_gauss_legendre(u_edges, n)
         return np.concatenate([(wt * integrand(t)).sum(axis=1),
                                (wu * integrand(2.0 / u) * 2.0 / (u * u)).sum(axis=1)])
 
@@ -302,11 +293,10 @@ def apply_linearized_operator(u: FieldSamples, params: ModelParams) -> FieldSamp
     their neighbor (fields of interest are flat there)."""
     grid = u.grid
     v = u.values
-    s = grid.spacing
     c2 = params.cos_theta_h ** 2
 
     u_xx = np.empty_like(v)
-    u_xx[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (s * s)
+    second_difference(v, grid.spacing, u_xx[1:-1])
     u_xx[0] = u_xx[1]
     u_xx[-1] = u_xx[-2]
 
@@ -359,8 +349,7 @@ def forcing_terms(p: Profile) -> ForcingTerms:
     th = params.theta_h
     cidx = grid.center_index
 
-    rho_half = np.where(p.values[cidx:] <= np.pi / 2,
-                        p.values[cidx:], np.pi - p.values[cidx:])
+    rho_half = fold(p.values[cidx:])
     rho = np.concatenate([rho_half[:0:-1], rho_half])
 
     dev = rho - th

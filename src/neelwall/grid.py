@@ -141,17 +141,11 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class Profile:
-    """Sampled angle theta(x) on a grid, together with its field parameter.
-
-    values has grid.n_points + 1 entries (endpoints included).  Admissible
-    profiles satisfy values[0] == pi - theta_h and values[-1] == theta_h;
-    after clamping all values lie in [theta_h, pi - theta_h].
-    """
+class FieldSamples:
+    """Samples of a scalar field on the grid's n_points + 1 positions."""
 
     grid: Grid1D
     values: np.ndarray
-    params: ModelParams
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -159,11 +153,24 @@ class Profile:
             raise ValueError(
                 f"values must have length {self.grid.n_samples}, got {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        object.__setattr__(self, "values", _read_only(v.copy()))
+
+
+@dataclass(frozen=True)
+class Profile(FieldSamples):
+    """Sampled angle theta(x) on a grid, together with its field parameter.
+
+    values has grid.n_points + 1 entries (endpoints included).  Admissible
+    profiles satisfy values[0] == pi - theta_h and values[-1] == theta_h;
+    after clamping all values lie in [theta_h, pi - theta_h].
+    """
+
+    params: ModelParams
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("profile values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
     def with_values(self, values: np.ndarray) -> "Profile":
         return Profile(self.grid, values, self.params)
@@ -171,6 +178,46 @@ class Profile:
     def is_pinned(self, tol: float = 0.0) -> bool:
         return (abs(self.values[0] - self.params.left_plateau) <= tol
                 and abs(self.values[-1] - self.params.right_plateau) <= tol)
+
+
+def second_difference(values: np.ndarray, spacing: float, out=None) -> np.ndarray:
+    """(v[i+1] - 2 v[i] + v[i-1]) / spacing^2 at the interior samples
+    i = 1..n-1, written to `out` (n - 1 entries) if given."""
+    out = np.multiply(2.0, values[1:-1], out=out)
+    np.subtract(values[2:], out, out=out)
+    out += values[:-2]
+    out /= spacing * spacing
+    return out
+
+
+def fold(values: np.ndarray) -> np.ndarray:
+    """Fold angles about pi/2: min(theta, pi - theta)."""
+    return np.where(values <= np.pi / 2, values, np.pi - values)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def composite_gauss_legendre(edges: np.ndarray, n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on each panel
+    [edges[i], edges[i + 1]], one row per panel."""
+    nodes, weights = _gauss_legendre(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (1.0 + nodes), half * weights
+
+
+def check_transition_fits(grid: Grid1D) -> Grid1D:
+    """The grid; ValueError if half_length < 2 leaves no room for the
+    wall's transition region [-1, 1] and its plateaus."""
+    if grid.half_length < 2.0:
+        raise ValueError(
+            f"half_length must be >= 2 to contain the transition region, "
+            f"got {grid.half_length}"
+        )
+    return grid
 
 
 def reference_profile(grid: Grid1D, params: ModelParams) -> Profile:
@@ -186,12 +233,7 @@ def reference_profile(grid: Grid1D, params: ModelParams) -> Profile:
     Raises:
         ValueError: half_length < 2, so the transition region does not fit.
     """
-    if grid.half_length < 2.0:
-        raise ValueError(
-            f"half_length must be >= 2 to contain the transition region, "
-            f"got {grid.half_length}"
-        )
-    x = grid.points
+    x = check_transition_fits(grid).points
     # sigma is odd, -1 below x = -1, +1 above x = 1; computed from |x| so the
     # grid symmetry carries over exactly.
     ax = np.abs(x)
@@ -203,11 +245,9 @@ def reference_profile(grid: Grid1D, params: ModelParams) -> Profile:
         order = inner[np.argsort(ax[inner])]
         ends = np.concatenate([[0.0], ax[order], [1.0]])
         panels = int(np.ceil(16.0 * np.max(np.diff(ends))))
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        half = 0.5 * np.diff(ends)[:, None, None] / panels
-        start = ends[:-1, None, None] + 2.0 * half * np.arange(panels)[:, None]
-        t = start + half * (1.0 + nodes)
-        pieces = (half * weights * np.exp(-1.0 / (1.0 - t * t))).sum(axis=(1, 2))
+        edges = ends[:-1, None] + np.diff(ends)[:, None] * (np.arange(panels) / panels)
+        t, w = composite_gauss_legendre(np.append(edges.ravel(), 1.0), 16)
+        pieces = (w * np.exp(-1.0 / (1.0 - t * t))).reshape(-1, 16 * panels).sum(axis=1)
         antideriv = np.cumsum(pieces)
         sigma_abs[order] = antideriv[:-1] / antideriv[-1]
     sigma = np.sign(x) * sigma_abs

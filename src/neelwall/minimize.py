@@ -49,7 +49,7 @@ from .energy import (
     symmetrize_rearrange,
 )
 from .green import DecayReport, linearized_symbol
-from .grid import Grid1D, ModelParams, Profile
+from .grid import Grid1D, ModelParams, Profile, check_transition_fits
 
 ARMIJO_SLOPE_FRACTION = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -263,9 +263,7 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
     """
     if opts is None:
         opts = SolveOptions()
-    grid, params = initial.grid, initial.params
-    if grid.half_length < 2.0:
-        raise ValueError("grid.half_length must be >= 2")
+    grid, params = check_transition_fits(initial.grid), initial.params
     if not initial.is_pinned(tol=1e-9):
         raise ValueError("initial profile must be pinned to the plateau angles")
 

@@ -113,9 +113,18 @@ class TestSweep:
         for nu, h in [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)]:
             with pytest.raises(ValueError):
                 nw.sweep([nu], [h])
-        for half_length, n_points in [(np.nan, 512), (20.0, 5)]:
+        for half_length, n_points in [(np.nan, 512), (20.0, 5), (1.5, 64)]:
             with pytest.raises(ValueError):
                 nw.sweep([1.0], [0.0], half_length=half_length, n_points=n_points)
+
+    def test_unconverged_row(self):
+        (row,) = nw.sweep([1.0], [0.0], nw.SolveOptions(max_iter=1),
+                          half_length=20.0, n_points=256)
+        assert not row.converged
+        assert math.isfinite(row.energy_total) and math.isfinite(row.residual_sup)
+        assert math.isnan(row.wall_width)
+        assert math.isnan(row.amplitude_multipole)
+        assert math.isnan(row.amplitude_tailfit)
 
     def test_rows_lexicographic_and_converged(self):
         table = nw.sweep([1.0, 0.5], [0.3, 0.0],
@@ -415,6 +424,28 @@ class TestCli:
                      "--half-length", "20", "--points", "512",
                      "--max-iter", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unconverged_sweep_exit_code_and_null_metrics(self, tmp_path, capsys, fmt):
+        out = tmp_path / f"sweep.{fmt}"
+        code = main(["sweep", "--nu-list", "1", "--h-list", "0",
+                     "--half-length", "20", "--points", "256", "--max-iter", "1",
+                     "--out", str(out), "--format", fmt])
+        assert code == 2
+        assert "null" in out.read_text()
+        (row,) = nw.load_table(str(out)).rows
+        assert not row.converged
+        assert math.isfinite(row.energy_total) and math.isfinite(row.residual_sup)
+        assert math.isnan(row.wall_width)
+        assert math.isnan(row.amplitude_multipole)
+        assert math.isnan(row.amplitude_tailfit)
+
+    def test_short_domain_exit_code(self, capsys):
+        for command in (["solve", "--nu", "1"],
+                        ["sweep", "--nu-list", "1", "--h-list", "0"]):
+            code = main(command + ["--half-length", "1.5", "--points", "64"])
+            assert code == 1
+            assert "half_length must be >= 2" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

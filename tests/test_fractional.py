@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neelwall as nw
-from neelwall.fractional import FieldSamples
+from neelwall.fractional import FieldSamples, half_laplacian_spectral_values
 
 
 def gaussian_field(grid, sigma=1.5, amp=1.0):
@@ -29,6 +29,8 @@ class TestSpectral:
         g = nw.make_grid(10.0, 128)
         with pytest.raises(ValueError):
             FieldSamples(g, np.zeros(5))
+        with pytest.raises(ValueError):
+            half_laplacian_spectral_values(np.zeros(g.n_samples - 1), g)
 
     @given(a=st.floats(-3, 3, allow_nan=False), b=st.floats(-3, 3, allow_nan=False),
            seed=st.integers(0, 2 ** 31))

@@ -380,6 +380,12 @@ class TestForcingTerms:
             params)
         with pytest.raises(ValueError):
             nw.forcing_terms(wiggly)
+        # monotone but off-centre: the pi/2 crossing sits at x = 0.5
+        shifted = nw.Profile(grid, np.interp(grid.points - 0.5, grid.points,
+                                             ref.values), params)
+        assert np.all(np.diff(shifted.values) <= 0.0)
+        with pytest.raises(ValueError, match="recentered"):
+            nw.forcing_terms(shifted)
 
 
 class TestDecayAmplitude:

@@ -110,9 +110,10 @@ class TestMinimize:
     def test_small_domain_rejected(self):
         grid = nw.make_grid(1.5, 64)
         params = nw.ModelParams(1.0, 0.0)
-        profile = nw.Profile(grid, np.full(grid.n_samples, np.pi / 2), params)
-        with pytest.raises(ValueError):
-            nw.minimize(profile)
+        values = np.full(grid.n_samples, np.pi / 2)
+        values[0], values[-1] = params.left_plateau, params.right_plateau
+        with pytest.raises(ValueError, match="half_length must be >= 2"):
+            nw.minimize(nw.Profile(grid, values, params))
 
     def test_unpinned_initial_rejected(self):
         grid = nw.make_grid(10.0, 128)
@@ -139,6 +140,30 @@ class TestMinimize:
         assert not result.converged
         assert result.iterations == 0
         assert result.residual_sup > 1e-6
+
+    def test_negative_curvature_start_converges(self, monkeypatch):
+        # from a pi/2 plateau between the pinned ends, CG meets negative
+        # curvature on its first direction, whose descent step is then taken
+        grid = nw.make_grid(20.0, 256)
+        params = nw.ModelParams(0.1, 0.3)
+        opts = nw.SolveOptions(tol=1e-8)
+        expected = nw.solve_cell(0.1, 0.3, opts, 20.0, 256).energy.total
+        first_direction_exits = []
+        newton_direction = minimize_module._newton_direction
+
+        def recorded(g, expansion, symbol, spacing, work):
+            direction = newton_direction(g, expansion, symbol, spacing, work)
+            first_direction_exits.append(direction is work.d)
+            return direction
+
+        monkeypatch.setattr(minimize_module, "_newton_direction", recorded)
+        values = np.full(grid.n_samples, np.pi / 2)
+        values[0], values[-1] = params.left_plateau, params.right_plateau
+        result = nw.minimize(nw.Profile(grid, values, params), opts)
+        assert sum(first_direction_exits) == 8
+        assert result.converged
+        assert result.energy.total == pytest.approx(expected, rel=1e-14)
+        assert expected == pytest.approx(1.15879008927599, rel=1e-13)
 
     @pytest.mark.parametrize("max_iter", [3, 100])
     def test_one_expansion_per_newton_step(self, monkeypatch, max_iter):
