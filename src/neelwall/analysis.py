@@ -69,11 +69,6 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
         and np.all(interior < np.pi - params.theta_h)
     )
 
-    try:
-        decay = result.decay or decay_amplitude(p)
-    except ValueError:
-        decay = None  # profile fails the decay preconditions (negative control)
-
     return VerificationReport(
         monotone_strict=monotone_strict,
         monotone_margin=monotone_margin,
@@ -81,7 +76,7 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
         symmetry_defect=symmetry_defect,
         range_ok=range_ok,
         residual_sup=result.residual_sup,
-        decay=decay,
+        decay=result.decay or _decay_report(p),
         energy=result.energy,
         symmetry_ok=symmetry_defect <= SYMMETRY_TOL_FACTOR * tol,
         residual_ok=result.residual_sup <= tol,
@@ -131,49 +126,48 @@ class SweepTable:
         return all(r.converged for r in self.rows)
 
 
+def _decay_report(p: Profile) -> Optional[DecayReport]:
+    """decay_amplitude(p), or None when p fails its preconditions."""
+    try:
+        return decay_amplitude(p)
+    except ValueError:
+        return None
+
+
 def solve_cell(nu: float, h: float, opts: Optional[SolveOptions] = None,
                half_length: float = DEFAULT_HALF_LENGTH,
                n_points: int = DEFAULT_N_POINTS) -> SolveResult:
-    """One independent wall solve from the reference initialization."""
+    """One independent wall solve from the reference initialization.
+
+    A converged result carries its decay report and tail amplitude, or None
+    and NaN when its wall fails the decay preconditions: a coarse grid can
+    converge to a discrete wall that is not monotone, say.
+    """
     grid = make_grid(half_length, n_points)
     params = ModelParams(nu, h)
     result = minimize(reference_profile(grid, params), opts)
     if result.converged:
-        result.decay = decay_amplitude(result.profile)
-        result.tail_amplitude = result.decay.amplitude_tailfit
+        result.decay = _decay_report(result.profile)
+        if result.decay is not None:
+            result.tail_amplitude = result.decay.amplitude_tailfit
     return result
 
 
 def _row_for(nu: float, h: float, opts: SolveOptions,
              half_length: float, n_points: int) -> SweepRow:
-    try:
-        result = solve_cell(nu, h, opts, half_length, n_points)
-        if result.converged:
-            report = result.decay
-            return SweepRow(
-                nu=nu, h=h,
-                energy_total=result.energy.total,
-                wall_width=wall_width(result.profile),
-                amplitude_multipole=report.amplitude_multipole,
-                amplitude_tailfit=report.amplitude_tailfit,
-                residual_sup=result.residual_sup,
-                converged=True,
-            )
-        return SweepRow(nu=nu, h=h, energy_total=result.energy.total,
-                        wall_width=math.nan, amplitude_multipole=math.nan,
-                        amplitude_tailfit=math.nan,
-                        residual_sup=result.residual_sup, converged=False)
-    except Exception:
-        return SweepRow(nu=nu, h=h, energy_total=math.nan, wall_width=math.nan,
-                        amplitude_multipole=math.nan, amplitude_tailfit=math.nan,
-                        residual_sup=math.nan, converged=False)
+    result = solve_cell(nu, h, opts, half_length, n_points)
+    d = result.decay   # None unless converged with its tail analysed
+    return SweepRow(nu=nu, h=h, energy_total=result.energy.total,
+                    wall_width=wall_width(result.profile) if d else math.nan,
+                    amplitude_multipole=d.amplitude_multipole if d else math.nan,
+                    amplitude_tailfit=d.amplitude_tailfit if d else math.nan,
+                    residual_sup=result.residual_sup, converged=result.converged)
 
 
 def _usable_cpus() -> int:
-    try:
+    if hasattr(os, "sched_getaffinity"):   # not on every platform
         return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+    return os.cpu_count() or 1
 
 
 def sweep(nu_values: Sequence[float], h_values: Sequence[float],
@@ -183,10 +177,11 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
           parallel: bool = True) -> SweepTable:
     """Solve every (nu, h) cell independently.
 
-    Cells run concurrently, on at most one thread per CPU this process may
-    use, when `parallel` is set; the solves are pure, so serial and
-    concurrent sweeps produce identical tables.  Per-cell failures
-    are recorded in their row and never abort the sweep.
+    Cells run on at most one thread per CPU this process may use when
+    `parallel` is set, on one thread otherwise; the solves are pure, so both
+    give identical tables.  A row records a cell that did not converge or
+    whose wall fails the decay preconditions (NaN width and amplitudes); any
+    other exception of a cell propagates.
 
     Raises:
         ValueError: an invalid grid or one with half_length < 2, or a (nu, h)
@@ -198,11 +193,8 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
         ModelParams(nu, h)   # and on an invalid cell
     if not cells:
         return SweepTable(rows=[])
-    if parallel and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=min(len(cells), _usable_cpus())) as pool:
-            rows = list(pool.map(
-                lambda c: _row_for(c[0], c[1], opts, half_length, n_points),
-                cells))
-    else:
-        rows = [_row_for(nu, h, opts, half_length, n_points) for nu, h in cells]
+    workers = min(len(cells), _usable_cpus()) if parallel else 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(
+            lambda c: _row_for(c[0], c[1], opts, half_length, n_points), cells))
     return SweepTable(rows=rows)

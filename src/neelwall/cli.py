@@ -1,7 +1,7 @@
 """Command-line interface: solve / green / sweep / verify subcommands.
 
-Exit codes: 0 on full convergence, 2 on any unconverged cell or failed
-verification, 1 on usage or I/O errors.
+Exit codes: 0 on full convergence, 2 on any unconverged cell, failed
+verification or unconverged quadrature, 1 on usage or I/O errors.
 """
 
 from __future__ import annotations
@@ -86,7 +86,9 @@ def _cmd_solve(args) -> int:
         print(f"monotone_strict: {report.monotone_strict}  "
               f"symmetry_defect: {report.symmetry_defect}  "
               f"range_ok: {report.range_ok}")
-        if report.decay is not None:
+        if report.decay is None:
+            print("tail not analysed: the wall fails the decay preconditions")
+        else:
             print(f"wall_width: {wall_width(result.profile)}  "
                   f"tail amplitude: multipole {report.decay.amplitude_multipole}, "
                   f"tail fit {report.decay.amplitude_tailfit}, "
@@ -172,6 +174,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:   # a quadrature that did not converge
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 1
 
 

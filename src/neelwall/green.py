@@ -410,8 +410,8 @@ def decay_amplitude(p: Profile) -> DecayReport:
     """Estimate the far-field amplitude of a converged, recentered wall.
 
     Raises:
-        ValueError: bad profile, window outside the domain, or non-positive
-            tail values in the fit window.
+        ValueError: bad profile, fewer than two grid samples in the fit
+            window [L/8, L/4], or non-positive tail values in it.
     """
     terms = forcing_terms(p)
     grid, params = p.grid, p.params
@@ -424,8 +424,8 @@ def decay_amplitude(p: Profile) -> DecayReport:
     x_lo, x_hi = grid.half_length / 8.0, grid.half_length / 4.0
     x = grid.points
     window = (x >= x_lo) & (x <= x_hi)
-    if not np.any(window):
-        raise ValueError("tail-fit window contains no grid samples")
+    if np.count_nonzero(window) < 2:
+        raise ValueError("tail-fit window holds fewer than two grid samples")
     dev = p.values[window] - params.theta_h
     if np.any(dev <= 0.0):
         raise ValueError("non-positive tail values in the fit window")

@@ -27,6 +27,12 @@ def small_solve():
     return result
 
 
+# a coarse cell that converges (4 Newton steps) to a discrete wall rising by
+# about 1.7e-4 near both ends, so its tail cannot be analysed
+COARSE_CELL = dict(nu=1.0, h=0.0, half_length=20.0, n_points=16)
+COARSE_ARGV = ["--half-length", "20", "--points", "16"]
+
+
 class TestVerify:
     def test_converged_solve_all_flags(self, small_solve):
         report = nw.verify(small_solve)
@@ -83,6 +89,40 @@ class TestVerify:
         )
         with pytest.raises(ValueError):
             nw.verify(bad)
+
+
+class TestUnanalysedTail:
+    def test_solve_cell_converges_without_decay_report(self):
+        result = nw.solve_cell(**COARSE_CELL)
+        assert result.converged
+        assert result.decay is None
+        assert math.isnan(result.tail_amplitude)
+        assert not nw.verify(result).monotone_strict
+
+    def test_sweep_row_converged_with_null_tail(self):
+        cell = dict(COARSE_CELL)
+        (row,) = nw.sweep([cell.pop("nu")], [cell.pop("h")], **cell)
+        assert row.converged
+        assert math.isfinite(row.energy_total) and math.isfinite(row.residual_sup)
+        assert math.isnan(row.wall_width)
+        assert math.isnan(row.amplitude_multipole)
+        assert math.isnan(row.amplitude_tailfit)
+
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_programming_error_propagates(self, parallel):
+        with pytest.raises(AttributeError):
+            nw.sweep([1.0], [0.0], opts=5, half_length=20.0, n_points=64,
+                     parallel=parallel)
+
+    @pytest.mark.parametrize("half_length, n_points",
+                             [(2.0, 4), (2.0, 8), (4.0, 8), (20.0, 16)])
+    def test_edge_cells_give_finite_rows(self, half_length, n_points):
+        table = nw.sweep([0.1, 10.0], [0.0, 0.99],
+                         half_length=half_length, n_points=n_points)
+        assert len(table) == 4
+        for row in table:
+            assert math.isfinite(row.energy_total), row
+            assert math.isfinite(row.residual_sup), row
 
 
 class TestWallWidth:
@@ -439,6 +479,27 @@ class TestCli:
         assert math.isnan(row.wall_width)
         assert math.isnan(row.amplitude_multipole)
         assert math.isnan(row.amplitude_tailfit)
+
+    def test_unanalysed_tail_solve_verify_sweep(self, tmp_path, capsys):
+        out = tmp_path / "coarse.json"
+        code = main(["solve", "--nu", "1", "--h", "0", "--out", str(out)]
+                    + COARSE_ARGV)
+        assert code == 0
+        assert "tail not analysed" in capsys.readouterr().out
+        assert nw.load_result(str(out)).converged
+
+        code = main(["verify", "--in", str(out)])
+        assert code == 2
+        assert "FAIL  monotone_strict" in capsys.readouterr().out
+
+        code = main(["sweep", "--nu-list", "1", "--h-list", "0"] + COARSE_ARGV)
+        assert code == 0
+
+    def test_green_unconverged_quadrature_exit_code(self, capsys):
+        code = main(["green", "--nu", "1e-12", "--samples", "3"])
+        assert code == 2
+        assert "error: fundamental-solution quadrature did not converge" \
+            in capsys.readouterr().err
 
     def test_short_domain_exit_code(self, capsys):
         for command in (["solve", "--nu", "1"],

@@ -429,6 +429,17 @@ class TestDecayAmplitude:
         assert report.amplitude_multipole == report.green_coeff * (
             report.forcing_integral + report.corner_charge + report.stray_tail_charge)
 
+    @pytest.mark.parametrize("half_length", [2.0, 4.0])
+    @pytest.mark.parametrize("nu, h", [(1.0, 0.0), (0.1, 0.5)])
+    def test_window_with_one_sample_rejected(self, half_length, nu, h):
+        # N = 8: [L/8, L/4] holds one sample, x = 0.5 at L = 2 and x = 1
+        # (log x = 0) at L = 4; a line through one point is no fit
+        grid = nw.make_grid(half_length, 8)
+        result = nw.minimize(nw.reference_profile(grid, nw.ModelParams(nu, h)))
+        assert result.converged
+        with pytest.raises(ValueError, match="fewer than two grid samples"):
+            nw.decay_amplitude(result.profile)
+
     def test_amplitude_stable_under_refinement(self):
         params = nw.ModelParams(1.0, 0.0)
         amps = []
