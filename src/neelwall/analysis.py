@@ -12,7 +12,8 @@ import numpy as np
 
 from .energy import EnergyBreakdown
 from .green import DecayReport, decay_amplitude
-from .grid import ModelParams, Profile, check_transition_fits, make_grid, reference_profile
+from .grid import (ModelParams, Profile, check_transition_fits, make_grid, reference_profile,
+                   symmetry_defect)
 from .minimize import SolveOptions, SolveResult, find_crossing, minimize
 
 DEFAULT_HALF_LENGTH = 40.0
@@ -48,8 +49,9 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
     The decay report is the one the result carries, when it has one.
 
     Raises:
-        ValueError: result not converged.
+        ValueError: a tol that SolveOptions rejects, or result not converged.
     """
+    SolveOptions(tol=tol)   # one rule for every tolerance
     if not result.converged:
         raise ValueError("verify requires a converged solve")
     p = result.profile
@@ -61,7 +63,7 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
     monotone_strict = bool(np.all(diffs < 0.0))
     violation_index = None if monotone_strict else int(np.argmax(diffs >= 0.0))
 
-    symmetry_defect = float(np.max(np.abs(v + v[::-1] - np.pi)))
+    defect = symmetry_defect(v)
 
     interior = v[1:-1]
     range_ok = bool(
@@ -73,12 +75,12 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
         monotone_strict=monotone_strict,
         monotone_margin=monotone_margin,
         violation_index=violation_index,
-        symmetry_defect=symmetry_defect,
+        symmetry_defect=defect,
         range_ok=range_ok,
         residual_sup=result.residual_sup,
         decay=result.decay or _decay_report(p),
         energy=result.energy,
-        symmetry_ok=symmetry_defect <= SYMMETRY_TOL_FACTOR * tol,
+        symmetry_ok=defect <= SYMMETRY_TOL_FACTOR * tol,
         residual_ok=result.residual_sup <= tol,
     )
 

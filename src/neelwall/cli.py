@@ -135,6 +135,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    SolveOptions(tol=args.tol)   # a bad --tol exits 1, whatever the file holds
     result = load_result(args.infile)
     if not result.converged:
         print("stored result is not converged")

@@ -30,7 +30,8 @@ from .fractional import (
     half_laplacian_spectral_values,
     spectral_quadratic_form,
 )
-from .grid import FieldSamples, Grid1D, ModelParams, Profile, fold, second_difference
+from .grid import (FieldSamples, Grid1D, ModelParams, Profile, fold, mirror_left_half,
+                   second_difference, symmetry_defect)
 
 
 @dataclass(frozen=True)
@@ -345,10 +346,7 @@ def symmetrize_rearrange(p: Profile) -> Profile:
     _check_clamped(p)
 
     c = grid.center_index
-    already = (np.all(np.diff(v) <= 0.0)
-               and v[c] == np.pi / 2
-               and np.max(np.abs(v + v[::-1] - np.pi)) == 0.0)
-    if already:
+    if np.all(np.diff(v) <= 0.0) and symmetry_defect(v) == 0.0:
         return p  # exact fixed point; keeps the operation idempotent
 
     seg_lo, seg_hi, seg_w, levels = _folded_segments(v, grid, params)
@@ -362,9 +360,7 @@ def symmetrize_rearrange(p: Profile) -> Profile:
 
     out = np.empty_like(v)
     out[c:] = params.theta_h + t_out
-    out[:c] = np.pi - out[c + 1:][::-1]
-    out[c] = np.pi / 2
-    return p.with_values(out)
+    return p.with_values(mirror_left_half(out))
 
 
 def sin_midpoint(p1: Profile, p2: Profile, t: float) -> Profile:

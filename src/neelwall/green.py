@@ -335,10 +335,10 @@ def _check_wall_profile(p: Profile, what: str):
 def forcing_terms(p: Profile) -> ForcingTerms:
     """Evaluate the three forcing components of the folded wall equation.
 
-    The profile is folded about pi/2 onto [theta_h, pi/2] and reflected
-    evenly (for a symmetric wall the fold of the left half is the mirror of
-    the right half, so the even extension built from the right half is
-    exact); half-Laplacians act spectrally on that even extension.
+    The whole wall is folded about pi/2 onto [theta_h, pi/2], so nothing
+    assumes it symmetric; half-Laplacians act spectrally on the fold.  The
+    corner charge (v[c-1] - v[c+1]) / s is the jump of the fold's slope at
+    x = 0: the sum of its two one-sided slopes.
 
     Raises:
         ValueError: profile not recentered or not monotone.
@@ -349,9 +349,7 @@ def forcing_terms(p: Profile) -> ForcingTerms:
     th = params.theta_h
     cidx = grid.center_index
 
-    rho_half = fold(p.values[cidx:])
-    rho = np.concatenate([rho_half[:0:-1], rho_half])
-
+    rho = fold(p.values)
     dev = rho - th
     sin_rho = np.sin(rho)
     cos_rho = np.cos(rho)
@@ -365,9 +363,7 @@ def forcing_terms(p: Profile) -> ForcingTerms:
           * half_laplacian_spectral_values(w3, grid))
     f_total = f1 + f2 + f3
 
-    s = grid.spacing
-    slope0 = (p.values[cidx + 1] - p.values[cidx - 1]) / (2.0 * s)
-    corner_charge = 2.0 * abs(slope0)
+    corner_charge = abs(p.values[cidx - 1] - p.values[cidx + 1]) / grid.spacing
 
     return ForcingTerms(
         f1=FieldSamples(grid, f1),

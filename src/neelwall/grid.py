@@ -195,6 +195,21 @@ def fold(values: np.ndarray) -> np.ndarray:
     return np.where(values <= np.pi / 2, values, np.pi - values)
 
 
+def mirror_left_half(values: np.ndarray) -> np.ndarray:
+    """Put `values` in the symmetric class theta(-x) = pi - theta(x), in place:
+    the left half becomes pi - values(-x) and the center pi/2, so values(x) +
+    values(-x) rounds to pi exactly at every sample."""
+    c = values.size // 2
+    np.subtract(np.pi, values[c + 1:][::-1], out=values[:c])
+    values[c] = np.pi / 2
+    return values
+
+
+def symmetry_defect(values: np.ndarray) -> float:
+    """Distance from the symmetric class: max |theta(x) + theta(-x) - pi|."""
+    return float(np.max(np.abs(values + values[::-1] - np.pi)))
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
@@ -264,11 +279,11 @@ def interpolate(profile: Profile, x) -> float | np.ndarray:
     """Piecewise-linear interpolation of profile values; exact at samples.
 
     Raises:
-        ValueError: any query point outside [-half_length, half_length].
+        ValueError: a query point outside [-half_length, half_length], or NaN.
     """
     xq = np.asarray(x, dtype=float)
     limit = profile.grid.half_length * (1.0 + 1e-14)
-    if np.any(np.abs(xq) > limit):
+    if not np.all(np.abs(xq) <= limit):   # NaN fails it too
         raise ValueError(
             f"interpolation points must lie in |x| <= {profile.grid.half_length}"
         )

@@ -49,7 +49,7 @@ from .energy import (
     symmetrize_rearrange,
 )
 from .green import DecayReport, linearized_symbol
-from .grid import Grid1D, ModelParams, Profile, check_transition_fits
+from .grid import Grid1D, ModelParams, Profile, check_transition_fits, mirror_left_half
 
 ARMIJO_SLOPE_FRACTION = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -65,10 +65,11 @@ class SolveOptions:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not math.isfinite(self.tol) or self.tol <= 0:
+        if isinstance(self.tol, bool) or not math.isfinite(self.tol) or self.tol <= 0:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        # a fractional or non-finite max_iter would never equal the step count
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        # a bool is no budget; a fractional or non-finite one never equals the step count
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
@@ -143,18 +144,6 @@ def _precondition(r: np.ndarray, symbol: np.ndarray, out=None,
 def _pin(v: np.ndarray, params: ModelParams) -> np.ndarray:
     v[0] = params.left_plateau
     v[-1] = params.right_plateau
-    return v
-
-
-def _mirror(v: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Pin v and rebuild its left half as pi - v(-x), with v(0) = pi/2.
-
-    The sum v(x) + v(-x) then rounds to pi exactly at every sample.
-    """
-    c = v.size // 2
-    _pin(v, params)
-    np.subtract(np.pi, v[c + 1:-1][::-1], out=v[1:c])
-    v[c] = np.pi / 2
     return v
 
 
@@ -270,7 +259,7 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
     start = initial.with_values(clamp_values(initial.values, params))
     work = _SolveWork(grid.n_points)
     np.copyto(work.v, symmetrize_rearrange(start).values)
-    _mirror(work.v, params)
+    mirror_left_half(_pin(work.v, params))
     symbol = _dirichlet_symbol(grid, params)
     iterations = 0
     polishing = False
@@ -291,8 +280,8 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
         if trial is None:
             break
         # the accepted trial's row becomes the iterate, the old iterate's
-        # row takes the next step's trials
-        work.v, work.trial = _mirror(clamp_values(trial, params, trial), params), work.v
+        # row takes the next step's trials (p is zero at the ends: the pin holds)
+        work.v, work.trial = mirror_left_half(clamp_values(trial, params, trial)), work.v
         iterations += 1
 
     profile = Profile(grid, work.v, params)

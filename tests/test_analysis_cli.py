@@ -79,6 +79,12 @@ class TestVerify:
         tight = nw.verify(skewed, min(residual, defect / 10) / 2)
         assert not tight.symmetry_ok and not tight.residual_ok
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, True])
+    def test_invalid_tol_rejected(self, small_solve, tol):
+        # the rule SolveOptions applies to the tol of solve and sweep
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            nw.verify(small_solve, tol)
+
     def test_unconverged_rejected(self, small_solve):
         bad = nw.SolveResult(
             profile=small_solve.profile,
@@ -507,6 +513,17 @@ class TestCli:
             code = main(command + ["--half-length", "1.5", "--points", "64"])
             assert code == 1
             assert "half_length must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_invalid_tol_exit_code(self, small_solve, tmp_path, capsys, tol):
+        path, unconverged = str(tmp_path / "wall.json"), str(tmp_path / "stalled.json")
+        nw.emit(small_solve, "json", path)
+        nw.emit(dataclasses.replace(small_solve, converged=False), "json", unconverged)
+        for command in (["solve", "--nu", "1"],
+                        ["sweep", "--nu-list", "1", "--h-list", "0"],
+                        ["verify", "--in", path], ["verify", "--in", unconverged]):
+            assert main(command + ["--tol", tol]) == 1
+            assert "error: tol must be positive and finite" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -11,6 +11,7 @@ from scipy.special import exp1, sici
 import neelwall as nw
 from neelwall import green
 from neelwall.fractional import FieldSamples
+from neelwall.grid import fold, symmetry_defect
 
 
 def green_fft_oracle(params, dx=0.005, n=2 ** 22):
@@ -370,6 +371,24 @@ class TestForcingTerms:
         # the corner node carries the discrete point charge
         assert resid[c] == pytest.approx(terms.corner_charge / grid.spacing,
                                          rel=1e-10)
+
+    def test_folds_the_whole_wall(self):
+        # a wall with its left half widened 2x is centred and monotone but not
+        # symmetric; the forcing must read both halves as they are
+        wall = nw.solve_cell(1.0, 0.0, None, 20.0, 512).profile
+        grid, params = wall.grid, wall.params
+        c, x = grid.center_index, grid.points
+        v = wall.values.copy()
+        v[:c] = np.interp(x[:c] / 2, x, v)
+        assert np.all(np.diff(v) <= 0.0) and v[c] == np.pi / 2
+        assert symmetry_defect(v) > 0.1
+        rho = fold(v)
+        k, th = params.cos_theta_h, params.theta_h
+        dev, sin_rho, cos_rho = rho - th, np.sin(rho), np.cos(rho)
+        f1 = k * (k - cos_rho) * dev + cos_rho * (k * dev - sin_rho + params.h)
+        terms = nw.forcing_terms(wall.with_values(v))
+        assert np.array_equal(terms.f1.values, f1)
+        assert terms.corner_charge == (v[c - 1] - v[c + 1]) / grid.spacing
 
     def test_unconverged_input_rejected(self):
         grid = nw.make_grid(10.0, 256)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import neelwall as nw
+from neelwall.grid import mirror_left_half, symmetry_defect
 
 
 class TestMakeGrid:
@@ -160,6 +161,34 @@ class TestInterpolate:
             nw.interpolate(self.profile, 5.1)
         with pytest.raises(ValueError):
             nw.interpolate(self.profile, -7.0)
+        with pytest.raises(ValueError):
+            nw.interpolate(self.profile, float("nan"))
+        with pytest.raises(ValueError):
+            nw.interpolate(self.profile, np.array([0.0, np.nan]))
+
+
+class TestSymmetricClass:
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.values = rng.uniform(0.0, np.pi, 513)
+        self.c = 256
+
+    def test_mirror_left_half(self):
+        v = self.values.copy()
+        right = v[self.c + 1:].copy()
+        assert mirror_left_half(v) is v
+        assert np.array_equal(v[self.c + 1:], right)   # right half untouched
+        assert v[self.c] == np.pi / 2
+        assert np.all(v + v[::-1] == np.pi)
+
+    def test_symmetry_defect(self):
+        v = mirror_left_half(self.values.copy())
+        assert symmetry_defect(v) == 0.0
+        assert symmetry_defect(self.values) > 0.0
+        v[3] += 1e-3
+        v[-11] -= 4e-3
+        v[self.c] += 1e-3   # counted twice: theta(0) + theta(-0)
+        assert symmetry_defect(v) == pytest.approx(4e-3, rel=1e-12)
 
 
 class TestProfile:

@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 
 import neelwall as nw
+from conftest import make_random_admissible
 from neelwall.minimize import _dirichlet_symbol, _odd, _precondition, find_crossing
 
 # the package attribute neelwall.minimize is the function, not the module
@@ -19,13 +20,14 @@ class TestSolveOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             nw.SolveOptions(tol=0.0)
-        for tol in (np.nan, np.inf):
-            with pytest.raises(ValueError):
+        # True is a number to Python, which would read it as 1.0 or 1 step
+        for tol in (np.nan, np.inf, True):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
                 nw.SolveOptions(tol=tol)
         with pytest.raises(ValueError):
             nw.SolveOptions(max_iter=0)
-        for max_iter in (np.nan, np.inf, 2.5):
-            with pytest.raises(ValueError):
+        for max_iter in (np.nan, np.inf, 2.5, True):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
                 nw.SolveOptions(max_iter=max_iter)
 
 
@@ -181,6 +183,23 @@ class TestMinimize:
                              nw.SolveOptions(max_iter=max_iter))
         assert result.converged == (max_iter == 100)
         assert len(built) == result.iterations + 1
+
+    def test_rough_start_converges_through_rearrangement(self):
+        # from this start the Newton iterates stall (100 steps, E about 6.00,
+        # residual 0.39) unless the solve begins at its symmetric decreasing
+        # rearrangement, which lands in the reference start's basin
+        grid = nw.make_grid(20.0, 1024)
+        params = nw.ModelParams(0.1, 0.0)
+        opts = nw.SolveOptions(tol=1e-8)
+        rng = np.random.default_rng(11)
+        for amp in (0.6, 1.2, 1.8):
+            start = make_random_admissible(grid, params, rng, amp=amp)
+        expected = nw.minimize(nw.reference_profile(grid, params), opts).energy.total
+        result = nw.minimize(start, opts)
+        assert result.converged
+        assert result.iterations <= 12
+        assert result.energy.total == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(2.021771159254056, rel=1e-12)
 
     def test_shifted_initialization_same_wall(self):
         grid = nw.make_grid(20.0, 1024)
