@@ -10,7 +10,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .energy import EnergyBreakdown
 from .green import DecayReport, decay_amplitude
 from .grid import (ModelParams, Profile, check_transition_fits, make_grid, reference_profile,
                    symmetry_defect)
@@ -38,7 +37,6 @@ class VerificationReport:
     range_ok: bool
     residual_sup: float
     decay: Optional[DecayReport]
-    energy: EnergyBreakdown
     symmetry_ok: bool
     residual_ok: bool
 
@@ -46,7 +44,8 @@ class VerificationReport:
 def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationReport:
     """Run every profile check on a converged solve and aggregate margins.
 
-    The decay report is the one the result carries, when it has one.
+    decay is the profile's tail report from decay_amplitude, computed here,
+    or None when the wall fails its preconditions.
 
     Raises:
         ValueError: a tol that SolveOptions rejects, or result not converged.
@@ -78,8 +77,7 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
         symmetry_defect=defect,
         range_ok=range_ok,
         residual_sup=result.residual_sup,
-        decay=result.decay or _decay_report(p),
-        energy=result.energy,
+        decay=_decay_report(p),
         symmetry_ok=defect <= SYMMETRY_TOL_FACTOR * tol,
         residual_ok=result.residual_sup <= tol,
     )
@@ -139,26 +137,16 @@ def _decay_report(p: Profile) -> Optional[DecayReport]:
 def solve_cell(nu: float, h: float, opts: Optional[SolveOptions] = None,
                half_length: float = DEFAULT_HALF_LENGTH,
                n_points: int = DEFAULT_N_POINTS) -> SolveResult:
-    """One independent wall solve from the reference initialization.
-
-    A converged result carries its decay report and tail amplitude, or None
-    and NaN when its wall fails the decay preconditions: a coarse grid can
-    converge to a discrete wall that is not monotone, say.
-    """
-    grid = make_grid(half_length, n_points)
-    params = ModelParams(nu, h)
-    result = minimize(reference_profile(grid, params), opts)
-    if result.converged:
-        result.decay = _decay_report(result.profile)
-        if result.decay is not None:
-            result.tail_amplitude = result.decay.amplitude_tailfit
-    return result
+    """One independent wall solve from the reference initialization: the
+    SolveResult of minimize, with no tail analysis (verify does that)."""
+    return minimize(reference_profile(make_grid(half_length, n_points),
+                                      ModelParams(nu, h)), opts)
 
 
 def _row_for(nu: float, h: float, opts: SolveOptions,
              half_length: float, n_points: int) -> SweepRow:
     result = solve_cell(nu, h, opts, half_length, n_points)
-    d = result.decay   # None unless converged with its tail analysed
+    d = _decay_report(result.profile) if result.converged else None
     return SweepRow(nu=nu, h=h, energy_total=result.energy.total,
                     wall_width=wall_width(result.profile) if d else math.nan,
                     amplitude_multipole=d.amplitude_multipole if d else math.nan,

@@ -331,7 +331,8 @@ def symmetrize_rearrange(p: Profile) -> Profile:
     pi/2 - theta_h), and the folded deviation is replaced by its exact
     symmetric decreasing rearrangement: the value at radius r is the level
     whose super-level set has width 2r.  Sampled back on the grid, the left
-    half is the exact mirror pi - theta(-x) and the center sample is pi/2.
+    half is the exact mirror pi - theta(-x) and the center sample is pi/2;
+    a non-increasing input of zero symmetry defect keeps its right half.
 
     The segment-sum exchange energy never increases: the rearranged
     interpolant has no larger Dirichlet integral than the folded one, and
@@ -347,7 +348,7 @@ def symmetrize_rearrange(p: Profile) -> Profile:
 
     c = grid.center_index
     if np.all(np.diff(v) <= 0.0) and symmetry_defect(v) == 0.0:
-        return p  # exact fixed point; keeps the operation idempotent
+        return p.with_values(mirror_left_half(v.copy()))   # its own rearrangement
 
     seg_lo, seg_hi, seg_w, levels = _folded_segments(v, grid, params)
     mu_plus, mu_at = _layer_widths(seg_lo, seg_hi, seg_w, levels)

@@ -41,7 +41,6 @@ def result_to_dict(result: SolveResult) -> dict:
         "residual_sup": _finite_or_none(result.residual_sup),
         "iterations": result.iterations,
         "converged": result.converged,
-        "tail_amplitude": _finite_or_none(result.tail_amplitude),
     }
 
 
@@ -92,7 +91,8 @@ def load_result(path: str) -> SolveResult:
     """Reconstruct a SolveResult from its JSON form; bit-exact round trip.
 
     Every profile sample must be a JSON number: a string, boolean or null
-    sample is rejected, not converted.
+    sample is rejected, not converted.  Keys other than those result_to_dict
+    writes are ignored, so older files that carry a tail amplitude load.
 
     Raises:
         OSError: unreadable file, message names the path.
@@ -124,7 +124,6 @@ def load_result(path: str) -> SolveResult:
             residual_sup=_load_cell("residual_sup", doc["residual_sup"]),
             iterations=_load_cell("iterations", doc["iterations"]),
             converged=_load_cell("converged", doc["converged"]),
-            tail_amplitude=_load_cell("tail_amplitude", doc["tail_amplitude"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path!r} holds a malformed solve result: {exc!r}") from exc

@@ -48,7 +48,7 @@ from .energy import (
     energy,
     symmetrize_rearrange,
 )
-from .green import DecayReport, linearized_symbol
+from .green import linearized_symbol
 from .grid import Grid1D, ModelParams, Profile, check_transition_fits, mirror_left_half
 
 ARMIJO_SLOPE_FRACTION = 1e-4
@@ -73,21 +73,17 @@ class SolveOptions:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
-    """Symmetric, centered profile plus solver diagnostics.
-
-    decay is the far-field report of a converged solve when the caller
-    computed one (analysis.solve_cell does); it is not serialized.
-    """
+    """The symmetric, centered profile a solve reached, its energy and the
+    solver's diagnostics; nothing derived from the profile, such as its tail
+    report (analysis.verify and green.decay_amplitude compute that)."""
 
     profile: Profile
     energy: EnergyBreakdown
     residual_sup: float
     iterations: int
     converged: bool
-    tail_amplitude: float = math.nan
-    decay: Optional[DecayReport] = None
 
 
 class _SolveWork(ExpansionWork):
@@ -259,7 +255,7 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
     start = initial.with_values(clamp_values(initial.values, params))
     work = _SolveWork(grid.n_points)
     np.copyto(work.v, symmetrize_rearrange(start).values)
-    mirror_left_half(_pin(work.v, params))
+    _pin(work.v, params)
     symbol = _dirichlet_symbol(grid, params)
     iterations = 0
     polishing = False

@@ -23,7 +23,6 @@ def small_solve():
     params = nw.ModelParams(1.0, 0.0)
     result = nw.minimize(nw.reference_profile(grid, params))
     assert result.converged
-    result.tail_amplitude = nw.decay_amplitude(result.profile).amplitude_tailfit
     return result
 
 
@@ -43,7 +42,6 @@ class TestVerify:
         assert report.symmetry_defect <= 10 * 1e-6
         assert report.residual_sup <= 1e-6
         assert report.decay.amplitude_multipole > 0
-        assert report.energy.total == small_solve.energy.total
 
     def test_non_monotone_negative_control(self, small_solve):
         v = small_solve.profile.values.copy()
@@ -101,9 +99,9 @@ class TestUnanalysedTail:
     def test_solve_cell_converges_without_decay_report(self):
         result = nw.solve_cell(**COARSE_CELL)
         assert result.converged
-        assert result.decay is None
-        assert math.isnan(result.tail_amplitude)
-        assert not nw.verify(result).monotone_strict
+        report = nw.verify(result)
+        assert report.decay is None
+        assert not report.monotone_strict
 
     def test_sweep_row_converged_with_null_tail(self):
         cell = dict(COARSE_CELL)
@@ -220,7 +218,20 @@ class TestEmitLoad:
         assert loaded.residual_sup == small_solve.residual_sup
         assert loaded.iterations == small_solve.iterations
         assert loaded.converged == small_solve.converged
-        assert loaded.tail_amplitude == small_solve.tail_amplitude
+        assert "tail_amplitude" not in json.loads(path.read_text())
+
+    def test_file_with_tail_amplitude_loads(self, small_solve, tmp_path):
+        # files written before the tail report left SolveResult carry the key
+        path = tmp_path / "result.json"
+        nw.emit(small_solve, "json", str(path))
+        doc = json.loads(path.read_text())
+        doc["tail_amplitude"] = nw.decay_amplitude(small_solve.profile).amplitude_tailfit
+        path.write_text(json.dumps(doc))
+        loaded = nw.load_result(str(path))
+        assert np.array_equal(loaded.profile.values, small_solve.profile.values)
+        assert loaded.energy == small_solve.energy
+        assert (loaded.residual_sup, loaded.iterations, loaded.converged) == (
+            small_solve.residual_sup, small_solve.iterations, small_solve.converged)
 
     def test_deterministic_output(self, small_solve, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -420,12 +431,11 @@ class TestEmitLoad:
             residual_sup=math.nan,
             iterations=small_solve.iterations,
             converged=small_solve.converged,
-            tail_amplitude=math.nan,
         )
         path = tmp_path / "result.json"
         nw.emit(clone, "json", str(path))
+        assert json.loads(path.read_text())["residual_sup"] is None
         loaded = nw.load_result(str(path))
-        assert math.isnan(loaded.tail_amplitude)
         assert math.isnan(loaded.residual_sup)
 
 
@@ -554,6 +564,12 @@ class TestCli:
                      "--points", "512"]) == 0
         assert len(calls) == 1
 
+    def test_solve_cell_computes_no_decay_report(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "decay_amplitude", calls.append)
+        assert nw.solve_cell(1.0, 0.0, None, 20.0, 512).converged
+        assert calls == []
+
     def test_budget_defaults_are_solve_options(self):
         defaults = nw.SolveOptions()
         parser = build_parser()
@@ -603,7 +619,7 @@ class TestSerializationFormat:
         def reject(constant):
             raise ValueError(f"{constant} is not strict JSON")
 
-        nw.emit(dataclasses.replace(small_solve, tail_amplitude=math.nan),
+        nw.emit(dataclasses.replace(small_solve, residual_sup=math.nan),
                 "json", str(tmp_path / "result.json"))
         failed = nw.SweepTable(rows=[nw.SweepRow(
             nu=1.0, h=0.0, energy_total=math.nan, wall_width=math.nan,

@@ -17,6 +17,7 @@ from neelwall.fractional import (
     detrended,
     half_laplacian_spectral_values,
 )
+from neelwall.grid import mirror_left_half, symmetry_defect
 from neelwall.minimize import _odd, _SolveWork
 from conftest import make_random_admissible
 
@@ -329,6 +330,17 @@ class TestSymmetrizeRearrange:
         ref = nw.reference_profile(g, params)
         out = nw.symmetrize_rearrange(ref)
         assert np.array_equal(out.values, ref.values)
+
+    def test_fixed_point_output_is_the_mirror(self):
+        # this reference profile has zero defect and is non-increasing, yet
+        # its left half is not bitwise pi - theta(-x): three samples are 4.4e-16 off
+        g, params = _grid_params(half_length=40.0, n=16384)
+        ref = nw.reference_profile(g, params)
+        assert symmetry_defect(ref.values) == 0.0 and np.all(np.diff(ref.values) <= 0.0)
+        out = nw.symmetrize_rearrange(ref).values
+        c = g.center_index
+        assert np.array_equal(out[c:], ref.values[c:])
+        assert np.array_equal(out, mirror_left_half(ref.values.copy()))
 
     def test_anisotropy_preserved_on_symmetric_decreasing_input(self):
         # equimeasurability is exact when the folded profile is already

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -29,6 +30,14 @@ class TestSolveOptions:
         for max_iter in (np.nan, np.inf, 2.5, True):
             with pytest.raises(ValueError, match="max_iter must be an integer"):
                 nw.SolveOptions(max_iter=max_iter)
+
+
+class TestSolveResult:
+    def test_holds_only_the_solve_and_is_frozen(self, baseline):
+        names = tuple(f.name for f in dataclasses.fields(nw.SolveResult))
+        assert names == ("profile", "energy", "residual_sup", "iterations", "converged")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            baseline.iterations = 0
 
 
 class TestMinimize:
