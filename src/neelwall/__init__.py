@@ -41,6 +41,7 @@ from .green import (
     green_hat,
     green_quadrature,
     green_samples,
+    green_values,
 )
 from .grid import Grid1D, ModelParams, Profile, interpolate, make_grid, reference_profile
 from .io import emit, load_result, load_table
@@ -55,6 +56,7 @@ __all__ = [
     "clamp_rotations", "symmetrize_rearrange", "sin_midpoint",
     "SolveOptions", "SolveResult", "minimize", "recenter",
     "green_hat", "green_quadrature", "green_decay_coeff", "green_samples",
+    "green_values",
     "apply_linearized_operator", "ForcingTerms", "forcing_terms",
     "DecayReport", "decay_amplitude", "convolve_green",
     "VerificationReport", "verify", "SweepRow", "SweepTable", "sweep",

@@ -27,7 +27,8 @@ class VerificationReport:
     Flags are consistent with their stored margins: monotone_strict is true
     iff monotone_margin > 0, range_ok iff every interior value lies strictly
     between the plateau angles, symmetry_ok iff symmetry_defect <= 10 tol and
-    residual_ok iff residual_sup <= tol, for the tol given to verify.
+    residual_ok iff the solve's residual_sup <= tol, for the tol given to
+    verify.
     """
 
     monotone_strict: bool
@@ -35,7 +36,6 @@ class VerificationReport:
     violation_index: Optional[int]
     symmetry_defect: float
     range_ok: bool
-    residual_sup: float
     decay: Optional[DecayReport]
     symmetry_ok: bool
     residual_ok: bool
@@ -76,7 +76,6 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
         violation_index=violation_index,
         symmetry_defect=defect,
         range_ok=range_ok,
-        residual_sup=result.residual_sup,
         decay=_decay_report(p),
         symmetry_ok=defect <= SYMMETRY_TOL_FACTOR * tol,
         residual_ok=result.residual_sup <= tol,

@@ -20,7 +20,7 @@ from .analysis import (
     verify,
     wall_width,
 )
-from .green import green_decay_coeff, green_quadrature
+from .green import green_decay_coeff, green_values
 from .grid import ModelParams
 from .io import emit, load_result
 from .minimize import SolveOptions
@@ -51,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--nu", type=float, required=True, help="thin film parameter, > 0")
     solve.add_argument("--h", type=float, default=0.0, help="transverse field in [0, 1)")
     _add_grid_and_budget_flags(solve)
+    solve.set_defaults(run=_cmd_solve)
 
     green = subs.add_parser("green", help="sample the fundamental solution")
     green.add_argument("--nu", type=float, required=True)
@@ -58,16 +59,19 @@ def build_parser() -> argparse.ArgumentParser:
     green.add_argument("--xmax", type=float, default=10.0)
     green.add_argument("--samples", type=int, default=201)
     green.add_argument("--out", type=str, default=None)
+    green.set_defaults(run=_cmd_green)
 
     sw = subs.add_parser("sweep", help="independent solves over a (nu, h) table")
     sw.add_argument("--nu-list", type=float, nargs="+", required=True)
     sw.add_argument("--h-list", type=float, nargs="+", required=True)
     _add_grid_and_budget_flags(sw)
     sw.add_argument("--format", type=str, choices=("json", "csv"), default="csv")
+    sw.set_defaults(run=_cmd_sweep)
 
     ver = subs.add_parser("verify", help="re-check a stored solve result")
     ver.add_argument("--in", dest="infile", type=str, required=True)
     ver.add_argument("--tol", type=float, default=SolveOptions.tol)
+    ver.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -102,13 +106,12 @@ def _cmd_solve(args) -> int:
 def _cmd_green(args) -> int:
     params = ModelParams(args.nu, args.h)
     xs = np.linspace(-args.xmax, args.xmax, args.samples)
-    gs = [green_quadrature(x, params) for x in xs]
     doc = {
         "kind": "green_samples",
         "params": {"nu": args.nu, "h": args.h},
         "decay_coeff": green_decay_coeff(params),
         "x": xs.tolist(),
-        "g": gs,
+        "g": green_values(xs, params).tolist(),
     }
     text = json.dumps(doc, allow_nan=False)
     if args.out:
@@ -164,21 +167,13 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "green":
-            return _cmd_green(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:   # a quadrature that did not converge
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 1
 
 
 if __name__ == "__main__":

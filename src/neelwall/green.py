@@ -9,9 +9,10 @@ positive, even, Lipschitz at the origin, and decays like
 green_decay_coeff / x^2.  It has an integral representation over t in
 (0, inf) whose denominator factors as 4 (t^2 - r1)(t^2 - r2).  Partial
 fractions turn it into exponential integrals E1 at p sqrt(r1) and
-p sqrt(r2), p = |x| cos(theta_h), which `green_samples` evaluates for a
-whole grid of lags at once.  G(0), and the whole kernel near the double
-root at nu cos(theta_h) = 4 or for nu cos(theta_h) < 1e-5, come from
+p sqrt(r2), p = |x| cos(theta_h), which `green_values` evaluates for a
+whole array of points at once, G(0) as the closed form's limit p -> 0;
+`green_samples` is its cached kernel on a grid's lags.  Near the double
+root at nu cos(theta_h) = 4 and for nu cos(theta_h) < 1e-5, G comes from
 `green_quadrature`, which integrates the same integral by composite
 Gauss-Legendre quadrature independently of the closed form and checks it.
 
@@ -84,8 +85,8 @@ def green_quadrature(x: float, params: ModelParams) -> float:
     is the half-width of the integrand's peak at t = 1.  [2, inf) is mapped
     by t = 2/u onto (0, 1], split at u = 2^-k.  The 24-point rule on every
     panel gives the value, the 16-point rule on the same panels the error
-    estimate.  Relative accuracy target 1e-8.  The closed form behind
-    `green_samples` shares nothing with this function but the integrand's
+    estimate.  Relative accuracy target 1e-8.  The closed form of
+    `green_values` shares nothing with this function but the integrand's
     constants, so each checks the other.
 
     Raises:
@@ -123,7 +124,7 @@ def green_quadrature(x: float, params: ModelParams) -> float:
     return float(value)
 
 
-# The kernel is built by green_quadrature where the closed form loses digits:
+# green_values calls green_quadrature where the closed form loses digits:
 # within _DOUBLE_ROOT_BAND of nu c = 4, where r1 and r2 merge and
 # (I(r1) - I(r2)) / (r1 - r2) is 0/0 (at the band's edge the closed form is
 # within 1e-12 of the quadrature), and below nu c = _SMALL_NU_C, where G is
@@ -239,49 +240,65 @@ def _pole_integral(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def green_samples(grid: Grid1D, params: ModelParams) -> np.ndarray:
-    """G sampled at every lag of the grid, cached per (grid, params).
+def green_values(x, params: ModelParams) -> np.ndarray:
+    """G at |x| for every entry of the 1-D array x.
 
     Off x = 0, G is the closed form of its integral: with p = |x| cos(theta_h)
     and r1, r2 the roots in t^2 of the integrand's denominator,
 
         G(x) = (2 nu / pi) Re[(I(r1) - I(r2)) / (4 (r1 - r2))],
 
-    I as in `_pole_integral`, one evaluation per lag and conjugate pair: for
-    nu cos(theta_h) < 4 the roots are conjugate, I(r2) = conj I(r1), and
+    I as in `_pole_integral`, one evaluation per point and conjugate pair:
+    for nu cos(theta_h) < 4 the roots are conjugate, I(r2) = conj I(r1), and
     G = (2 nu / pi) Im I(r1) / (4 Im r1); above 4 both roots are negative
-    and I is the real part of e^{z} E1(z) at imaginary z.  numpy only.
-    Its error against green_quadrature is below 1e-10 relative.
-    green_quadrature gives G(0), where the closed form is singular, and the
-    whole kernel where the closed form loses digits: when
-    |nu cos(theta_h) - 4| < 1e-4, where the roots merge, and when
+    and I is the real part of e^{z} E1(z) at imaginary z.  At x = 0, where
+    each I diverges like -ln p, G is the closed form's limit
+
+        nu (pi - arg r1) / (4 pi Im r1)       for nu cos(theta_h) < 4,
+        nu ln(-r2) / (2 pi (r1 - r2))         above, where r2 < r1 < 0.
+
+    numpy only; its error against
+    green_quadrature is below 1e-10 relative (1e-12 at x = 0).
+    green_quadrature gives every value where the closed form loses digits:
+    when |nu cos(theta_h) - 4| < 1e-4, where the roots merge, and when
     nu cos(theta_h) < 1e-5.
+
+    Raises:
+        RuntimeError: inside those bands, a quadrature that did not converge.
     """
-    nu, n_points = params.nu, grid.n_points
+    nu = params.nu
     c = params.cos_theta_h
-    lags = np.arange(n_points + 1) * grid.spacing
+    ax = np.abs(np.asarray(x, dtype=float))
     if abs(nu * c - 4.0) < _DOUBLE_ROOT_BAND or nu * c < _SMALL_NU_C:
-        half = np.array([green_quadrature(x, params) for x in lags])
+        return np.array([green_quadrature(v, params) for v in ax])
+    # 4 t^4 + (nu^2 c^2 - 8) t^2 + 4 = 4 (t^2 - r1)(t^2 - r2) with
+    # r1 + r2 = 2 (1 - q) and r1 r2 = 1
+    q = (nu * c) ** 2 / 8.0
+    origin = ax == 0.0
+    p = ax[~origin] * c
+    out = np.empty(ax.shape)
+    if q < 2.0:
+        # r1, r2 = 1 - q +- i delta on the unit circle; I(r2) = conj I(r1)
+        delta = math.sqrt(q * (2.0 - q))
+        pole = _pole_integral(p * np.sqrt(complex(1.0 - q, delta)))
+        out[~origin] = 2.0 * nu / np.pi * pole.imag / (4.0 * delta)
+        out[origin] = nu * (np.pi - math.atan2(delta, 1.0 - q)) / (4.0 * np.pi * delta)
     else:
-        # 4 t^4 + (nu^2 c^2 - 8) t^2 + 4 = 4 (t^2 - r1)(t^2 - r2) with
-        # r1 + r2 = 2 (1 - q) and r1 r2 = 1
-        q = (nu * c) ** 2 / 8.0
-        p = lags[1:] * c
-        half = np.empty(n_points + 1)
-        half[0] = green_quadrature(0.0, params)
-        if q < 2.0:
-            # r1, r2 = 1 - q +- i delta on the unit circle; I(r2) = conj I(r1)
-            delta = math.sqrt(q * (2.0 - q))
-            pole = _pole_integral(p * np.sqrt(complex(1.0 - q, delta)))
-            half[1:] = 2.0 * nu / np.pi * pole.imag / (4.0 * delta)
-        else:
-            # r2 = 1 - q - d <= -1 and r1 = 1 / r2, so neither root is formed
-            # by cancellation; z = p sqrt(r) is imaginary and I is real
-            d = math.sqrt(q * (q - 2.0))
-            r2 = 1.0 - q - d
-            pole = _pole_integral(1j * p[:, None] * np.sqrt([-1.0 / r2, -r2])).real
-            half[1:] = 2.0 * nu / np.pi * (pole[:, 0] - pole[:, 1]) / (8.0 * d)
+        # r2 = 1 - q - d <= -1 and r1 = 1 / r2, so neither root is formed
+        # by cancellation; z = p sqrt(r) is imaginary and I is real
+        d = math.sqrt(q * (q - 2.0))
+        r2 = 1.0 - q - d
+        pole = _pole_integral(1j * p[:, None] * np.sqrt([-1.0 / r2, -r2])).real
+        out[~origin] = 2.0 * nu / np.pi * (pole[:, 0] - pole[:, 1]) / (8.0 * d)
+        out[origin] = nu * math.log(-r2) / (4.0 * np.pi * d)
+    return out
+
+
+@lru_cache(maxsize=8)
+def green_samples(grid: Grid1D, params: ModelParams) -> np.ndarray:
+    """G at every lag of the grid, -N s ... N s: green_values on the N + 1
+    non-negative lags, mirrored, read-only and cached per (grid, params)."""
+    half = green_values(np.arange(grid.n_points + 1) * grid.spacing, params)
     kernel = np.concatenate([half[:0:-1], half])
     kernel.setflags(write=False)
     return kernel

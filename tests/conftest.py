@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,25 @@ def asymptotic_solves():
         assert result.converged
         out[(nu, h)] = result
     return out
+
+
+@pytest.fixture
+def quadrature_calls(monkeypatch):
+    """run(f): f() and the number of green_quadrature calls it made, counted
+    at every name in the package that binds the function."""
+    def run(f):
+        calls = []
+        quadrature = nw.green.green_quadrature
+
+        def counting(x, params):
+            calls.append(x)
+            return quadrature(x, params)
+
+        with monkeypatch.context() as m:
+            for name, module in list(sys.modules.items()):
+                if (name.split(".")[0] == "neelwall"
+                        and getattr(module, "green_quadrature", None) is quadrature):
+                    m.setattr(module, "green_quadrature", counting)
+            out = f()
+        return out, len(calls)
+    return run

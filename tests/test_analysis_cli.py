@@ -40,7 +40,7 @@ class TestVerify:
         assert report.violation_index is None
         assert report.range_ok
         assert report.symmetry_defect <= 10 * 1e-6
-        assert report.residual_sup <= 1e-6
+        assert small_solve.residual_sup <= 1e-6
         assert report.decay.amplitude_multipole > 0
 
     def test_non_monotone_negative_control(self, small_solve):
@@ -96,6 +96,13 @@ class TestVerify:
 
 
 class TestUnanalysedTail:
+    def test_plateau_in_the_window_gives_no_decay_report(self, small_solve):
+        # decay_amplitude rejects the reference profile: it is flat at
+        # theta_h on the fit window
+        p = nw.reference_profile(small_solve.profile.grid, small_solve.profile.params)
+        held = dataclasses.replace(small_solve, profile=p, energy=nw.energy(p))
+        assert nw.verify(held).decay is None
+
     def test_solve_cell_converges_without_decay_report(self):
         result = nw.solve_cell(**COARSE_CELL)
         assert result.converged
@@ -516,6 +523,23 @@ class TestCli:
         assert code == 2
         assert "error: fundamental-solution quadrature did not converge" \
             in capsys.readouterr().err
+
+    def test_green_is_the_kernel_evaluator(self, tmp_path, quadrature_calls):
+        # no quadrature call, and the closed form to 1e-12 at every sample
+        out = tmp_path / "green.json"
+        code, calls = quadrature_calls(lambda: main(
+            ["green", "--nu", "1", "--samples", "201", "--out", str(out)]))
+        assert code == 0 and calls == 0
+        doc = json.loads(out.read_text())
+        params = nw.ModelParams(1.0, 0.0)
+        want = np.array([nw.green_quadrature(x, params) for x in doc["x"]])
+        assert np.max(np.abs(np.array(doc["g"]) - want) / want) <= 1e-12
+
+    def test_verify_unconverged_file_exit_code(self, small_solve, tmp_path, capsys):
+        path = str(tmp_path / "stalled.json")
+        nw.emit(dataclasses.replace(small_solve, converged=False), "json", path)
+        assert main(["verify", "--in", path]) == 2
+        assert "stored result is not converged" in capsys.readouterr().out
 
     def test_short_domain_exit_code(self, capsys):
         for command in (["solve", "--nu", "1"],

@@ -152,6 +152,18 @@ class TestGreenQuadrature:
             assert nw.green_quadrature(x, params) == pytest.approx(want, rel=1e-9)
 
 
+# cells where green_values uses the closed form
+CLOSED_FORM_CELLS = [
+    (1.0, 0.0), (0.5, 0.3), (2.0, 0.99),   # nu c < 4: complex roots
+    (5.0, 0.0), (10.0, 0.5), (1000.0, 0.0),  # nu c > 4: real roots
+    (3.9998, 0.0), (4.0002, 0.0),          # just outside the double-root band
+    (1e-3, 0.0), (1e-4, 0.0), (2e-5, 0.5),  # small nu c: closed form
+]
+# cells where it calls green_quadrature: nu cos(theta_h) = 4, where the
+# roots merge, and nu cos(theta_h) < 1e-5
+BAND_CELLS = [(4.0, 0.0), (5.0, 0.6), (1e-6, 0.0)]
+
+
 class TestGreenSamples:
     """The closed-form kernel against the independent quadrature."""
 
@@ -164,23 +176,33 @@ class TestGreenSamples:
         assert np.max(np.abs(got - want) / want) <= 1e-10
         assert np.array_equal(kernel, kernel[::-1])
 
-    @pytest.mark.parametrize("nu, h", [
-        (1.0, 0.0), (0.5, 0.3), (2.0, 0.99),   # nu c < 4: complex roots
-        (5.0, 0.0), (10.0, 0.5), (1000.0, 0.0),  # nu c > 4: real roots
-        (3.9998, 0.0), (4.0002, 0.0),          # just outside the double-root band
-        (1e-3, 0.0), (1e-4, 0.0), (2e-5, 0.5),  # small nu c: closed form
-    ])
+    @pytest.mark.parametrize("nu, h", CLOSED_FORM_CELLS)
     def test_matches_quadrature(self, nu, h):
         grid = nw.make_grid(40.0, 4096)
         lags = np.r_[0:9, 16:4096:64, 4096]
         self.assert_matches_quadrature(grid, nw.ModelParams(nu, h), lags)
 
-    @pytest.mark.parametrize("nu, h", [(4.0, 0.0), (5.0, 0.6), (1e-6, 0.0)])
-    def test_quadrature_fallback(self, nu, h):
+    @pytest.mark.parametrize("nu, h", CLOSED_FORM_CELLS)
+    def test_origin_is_the_closed_form_limit(self, nu, h, quadrature_calls):
+        # G(0) = nu (pi - arg r1) / (4 pi Im r1) or nu ln(-r2) / (4 pi d):
+        # no quadrature call builds the kernel
+        grid = nw.make_grid(40.0, 4096)
+        params = nw.ModelParams(nu, h)
+        kernel, calls = quadrature_calls(
+            lambda: nw.green_samples.__wrapped__(grid, params))
+        assert calls == 0
+        assert kernel[grid.n_points] == pytest.approx(
+            nw.green_quadrature(0.0, params), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nu, h", BAND_CELLS)
+    def test_quadrature_fallback(self, nu, h, quadrature_calls):
         # nu cos(theta_h) = 4: r1 = r2 and the closed form is 0/0; at
-        # nu cos(theta_h) = 1e-6 it would be 9e-12 off
+        # nu cos(theta_h) = 1e-6 it would be 9e-12 off; one quadrature per lag
         grid = nw.make_grid(40.0, 256)
-        self.assert_matches_quadrature(grid, nw.ModelParams(nu, h), np.arange(257))
+        params = nw.ModelParams(nu, h)
+        _, calls = quadrature_calls(lambda: nw.green_samples.__wrapped__(grid, params))
+        assert calls == grid.n_points + 1
+        self.assert_matches_quadrature(grid, params, np.arange(257))
 
     @pytest.mark.parametrize("nu, h", [(1.0, 0.0), (3.0, 0.9), (100.0, 0.5)])
     def test_coarse_long_grid(self, nu, h):
@@ -189,11 +211,14 @@ class TestGreenSamples:
         grid = nw.make_grid(1000.0, 256)
         self.assert_matches_quadrature(grid, nw.ModelParams(nu, h), np.arange(257))
 
-    def test_origin_is_quadrature(self):
-        grid = nw.make_grid(40.0, 4096)
+    def test_values_at_any_points(self):
+        # off the grid, at negative x and at 0: G at |x|
         params = nw.ModelParams(1.3, 0.2)
-        assert nw.green_samples(grid, params)[grid.n_points] \
-            == nw.green_quadrature(0.0, params)
+        xs = np.array([-7.25, -0.3, 0.0, 1e-9, 0.3, 2.5, 33.0])
+        got = nw.green_values(xs, params)
+        want = np.array([nw.green_quadrature(x, params) for x in xs])
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        assert np.array_equal(got, nw.green_values(-xs, params))
 
 
 class TestPoleIntegral:
@@ -447,6 +472,26 @@ class TestDecayAmplitude:
         assert report.stray_tail_charge < 0.0
         assert report.amplitude_multipole == report.green_coeff * (
             report.forcing_integral + report.corner_charge + report.stray_tail_charge)
+
+    def test_total_charge_identity(self, asymptotic_solves):
+        # far from the wall c^2 (theta - theta_h) ~ -(nu/2) c halfLap(sin theta - h)
+        # and halfLap u ~ -(int u) / (pi x^2), so the three charges add up to
+        # c int (sin theta - h) plus the flux through the pinned ends; the
+        # stray-tail charge alone is 14-28% of the total on these cells
+        for (nu, h), result in asymptotic_solves.items():
+            p = result.profile
+            v, s = p.values, p.grid.spacing
+            report = nw.decay_amplitude(p)
+            charge = report.amplitude_multipole / report.green_coeff
+            identity = (p.params.cos_theta_h * np.sum(p.grid.trapezoid * (np.sin(v) - h))
+                        + abs(v[1] - v[0]) / s + abs(v[-1] - v[-2]) / s)
+            assert abs(identity - charge) <= 1e-4 * charge, (nu, h)
+
+    def test_plateau_in_the_window_rejected(self):
+        # the reference profile is flat at theta_h on [L/8, L/4]
+        p = nw.reference_profile(nw.make_grid(20.0, 512), nw.ModelParams(1.0, 0.0))
+        with pytest.raises(ValueError, match="non-positive tail values in the fit window"):
+            nw.decay_amplitude(p)
 
     @pytest.mark.parametrize("half_length", [2.0, 4.0])
     @pytest.mark.parametrize("nu, h", [(1.0, 0.0), (0.1, 0.5)])
