@@ -11,9 +11,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .green import DecayReport, decay_amplitude
-from .grid import (ModelParams, Profile, check_transition_fits, make_grid, reference_profile,
-                   symmetry_defect)
-from .minimize import SolveOptions, SolveResult, find_crossing, minimize
+from .grid import (ModelParams, Profile, check_transition_fits, find_crossing, make_grid,
+                   reference_profile, symmetry_defect)
+from .minimize import SolveOptions, SolveResult, minimize
 
 DEFAULT_HALF_LENGTH = 40.0
 DEFAULT_N_POINTS = 4096

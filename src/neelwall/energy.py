@@ -30,8 +30,8 @@ from .fractional import (
     half_laplacian_spectral_values,
     spectral_quadratic_form,
 )
-from .grid import (FieldSamples, Grid1D, ModelParams, Profile, fold, mirror_left_half,
-                   second_difference, symmetry_defect)
+from .grid import (FieldSamples, Grid1D, ModelParams, Profile, fold, level_crossings,
+                   mirror_left_half, second_difference, symmetry_defect)
 
 
 @dataclass(frozen=True)
@@ -258,35 +258,18 @@ def _check_clamped(p: Profile):
 def _folded_segments(v, grid, params):
     """(seg_lo, seg_hi, seg_w, levels) of the folded deviation rho - theta_h.
 
-    One segment per grid cell, a cell crossing pi/2 split at the crossing
-    into two halves rising to pi/2 - theta_h; levels are the distinct
-    endpoint values with 0 and pi/2 - theta_h, descending.
+    The fold is one vertex list: the samples, each at its folded deviation,
+    plus one vertex at every pi/2 crossing of `level_crossings`, where the
+    fold peaks at pi/2 - theta_h.  The segments join consecutive vertices,
+    seg_w = np.diff of their positions; levels are the distinct vertex
+    values with 0 and pi/2 - theta_h, descending.
     """
-    dev = np.clip(fold(v) - params.theta_h, 0.0, np.pi / 2 - params.theta_h)
     dev_max = np.pi / 2 - params.theta_h
-    s = grid.spacing
-
-    a, b = dev[:-1], dev[1:]
-    va, vb = v[:-1], v[1:]
-    crossing = (va - np.pi / 2) * (vb - np.pi / 2) < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(crossing, (np.pi / 2 - va) / (vb - va), 1.0)
-    frac = np.clip(frac, 0.0, 1.0)
-
-    # plain segments, plus the two halves of every segment folded at pi/2
-    plain = ~crossing
-    seg_lo = np.concatenate([
-        np.minimum(a, b)[plain], a[crossing], b[crossing]])
-    seg_hi = np.concatenate([
-        np.maximum(a, b)[plain],
-        np.full(np.count_nonzero(crossing), dev_max),
-        np.full(np.count_nonzero(crossing), dev_max)])
-    seg_w = np.concatenate([
-        np.full(np.count_nonzero(plain), s),
-        s * frac[crossing], s * (1.0 - frac[crossing])])
-
-    levels = np.unique(np.concatenate([seg_lo, seg_hi, [0.0, dev_max]]))[::-1]
-    return seg_lo, seg_hi, seg_w, levels
+    j, x = level_crossings(grid.points, v, np.pi / 2)
+    dev = np.insert(np.clip(fold(v) - params.theta_h, 0.0, dev_max), j + 1, dev_max)
+    seg_lo, seg_hi = np.minimum(dev[:-1], dev[1:]), np.maximum(dev[:-1], dev[1:])
+    levels = np.unique(np.append(dev, [0.0, dev_max]))[::-1]
+    return seg_lo, seg_hi, np.diff(np.insert(grid.points, j + 1, x)), levels
 
 
 def _layer_widths(seg_lo, seg_hi, seg_w, levels):

@@ -264,11 +264,14 @@ def green_values(x, params: ModelParams) -> np.ndarray:
     nu cos(theta_h) < 1e-5.
 
     Raises:
+        ValueError: a NaN or infinite entry of x, for every nu.
         RuntimeError: inside those bands, a quadrature that did not converge.
     """
     nu = params.nu
     c = params.cos_theta_h
     ax = np.abs(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(ax)):   # one rule inside and outside the bands
+        raise ValueError("x must be finite")
     if abs(nu * c - 4.0) < _DOUBLE_ROOT_BAND or nu * c < _SMALL_NU_C:
         return np.array([green_quadrature(v, params) for v in ax])
     # 4 t^4 + (nu^2 c^2 - 8) t^2 + 4 = 4 (t^2 - r1)(t^2 - r2) with

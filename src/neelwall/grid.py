@@ -210,6 +210,47 @@ def symmetry_defect(values: np.ndarray) -> float:
     return float(np.max(np.abs(values + values[::-1] - np.pi)))
 
 
+def level_crossings(points: np.ndarray, values: np.ndarray, level: float):
+    """(j, x): the samples j where `values` crosses `level` strictly between
+    j and j + 1, and each crossing's position x by linear interpolation.
+
+    Samples exactly at the level are not crossings.  With d = values - level,
+    x = points[j] + frac (points[j + 1] - points[j]) and
+    frac = d[j] / (d[j] - d[j + 1]) in [0, 1], evaluated in that order.
+    """
+    d = values - level
+    j = np.flatnonzero(d[:-1] * d[1:] < 0.0)
+    return j, points[j] + d[j] / (d[j] - d[j + 1]) * (points[j + 1] - points[j])
+
+
+def find_crossing(points: np.ndarray, values: np.ndarray, level: float) -> float:
+    """Locate the unique transversal crossing of `level` by linear interpolation.
+
+    The crossing is either one sample exactly at the level, with neighbours
+    on opposite sides, or one strict crossing of `level_crossings`.
+
+    Raises:
+        ValueError: zero or multiple crossings, or a sample at the level that
+            is not a transversal crossing (non-monotone or degenerate data).
+    """
+    d = values - level
+    exact = np.flatnonzero(d == 0.0)
+    strict, x = level_crossings(points, values, level)
+    if exact.size > 1:
+        raise ValueError("profile touches the level on more than one sample")
+    if exact.size == 1:
+        j = int(exact[0])
+        if strict.size > 0:
+            raise ValueError("profile crosses the level more than once")
+        if j == 0 or j == values.size - 1 or d[j - 1] * d[j + 1] >= 0.0:
+            raise ValueError("level touched without a transversal crossing")
+        return float(points[j])
+    if strict.size != 1:
+        raise ValueError("expected exactly one transversal crossing, "
+                         f"found {strict.size}")
+    return float(x[0])
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""

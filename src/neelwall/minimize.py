@@ -49,7 +49,8 @@ from .energy import (
     symmetrize_rearrange,
 )
 from .green import linearized_symbol
-from .grid import Grid1D, ModelParams, Profile, check_transition_fits, mirror_left_half
+from .grid import (Grid1D, ModelParams, Profile, check_transition_fits, find_crossing,
+                   mirror_left_half)
 
 ARMIJO_SLOPE_FRACTION = 1e-4
 BACKTRACK_FACTOR = 0.5
@@ -194,33 +195,6 @@ def _line_search(expansion, p, slope, trial):
             return trial
         alpha *= BACKTRACK_FACTOR
     return None
-
-
-def find_crossing(points: np.ndarray, values: np.ndarray, level: float) -> float:
-    """Locate the unique transversal crossing of `level` by linear interpolation.
-
-    Raises:
-        ValueError: zero or multiple crossings (non-monotone or degenerate data).
-    """
-    d = values - level
-    exact = np.flatnonzero(d == 0.0)
-    strict = np.flatnonzero(d[:-1] * d[1:] < 0.0)
-    if exact.size > 1:
-        raise ValueError("profile touches the level on more than one sample")
-    if exact.size == 1:
-        j = int(exact[0])
-        if strict.size > 0:
-            raise ValueError("profile crosses the level more than once")
-        if j == 0 or j == values.size - 1 or d[j - 1] * d[j + 1] >= 0.0:
-            raise ValueError("level touched without a transversal crossing")
-        return float(points[j])
-    if strict.size != 1:
-        raise ValueError(
-            f"expected exactly one transversal crossing, found {strict.size}"
-        )
-    j = int(strict[0])
-    frac = d[j] / (d[j] - d[j + 1])
-    return float(points[j] + frac * (points[j + 1] - points[j]))
 
 
 def recenter(p: Profile) -> Profile:

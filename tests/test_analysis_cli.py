@@ -423,6 +423,35 @@ class TestEmitLoad:
         with pytest.raises(ValueError):
             nw.emit(small_solve, "csv", str(tmp_path / "x.csv"))
 
+    def test_unknown_format_rejected(self, small_solve, tmp_path):
+        path = tmp_path / "x.xml"
+        with pytest.raises(ValueError, match="format must be 'json' or 'csv', got 'xml'"):
+            nw.emit(small_solve, "xml", str(path))
+        assert not path.exists()
+
+    def test_unknown_object_rejected(self, tmp_path):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="cannot emit object of type dict"):
+            nw.emit({"kind": "solve_result"}, "json", str(path))
+        assert not path.exists()
+
+    def test_table_file_is_not_a_result(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        nw.emit(nw.sweep([1.0], [0.0], half_length=20.0, n_points=64), "json", str(path))
+        with pytest.raises(ValueError, match="sweep.json' does not contain a solve result"):
+            nw.load_result(str(path))
+
+    def test_missing_table_names_path(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(OSError, match="cannot read from .*absent.csv"):
+            nw.load_table(str(path))
+
+    def test_result_file_is_not_a_table(self, small_solve, tmp_path):
+        path = tmp_path / "result.json"
+        nw.emit(small_solve, "json", str(path))
+        with pytest.raises(ValueError, match="result.json' holds a malformed sweep table"):
+            nw.load_table(str(path))
+
     def test_json_parses_with_stock_loader(self, small_solve, tmp_path):
         path = tmp_path / "result.json"
         nw.emit(small_solve, "json", str(path))
@@ -523,6 +552,13 @@ class TestCli:
         assert code == 2
         assert "error: fundamental-solution quadrature did not converge" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("xmax", ["inf", "nan"])
+    def test_green_rejects_non_finite_x(self, xmax, capsys):
+        # the message of green_values, not the JSON writer's, and no warning
+        code = main(["green", "--nu", "1", "--xmax", xmax])
+        assert code == 1
+        assert "error: x must be finite" in capsys.readouterr().err
 
     def test_green_is_the_kernel_evaluator(self, tmp_path, quadrature_calls):
         # no quadrature call, and the closed form to 1e-12 at every sample

@@ -17,7 +17,7 @@ from neelwall.fractional import (
     detrended,
     half_laplacian_spectral_values,
 )
-from neelwall.grid import mirror_left_half, symmetry_defect
+from neelwall.grid import fold, mirror_left_half, symmetry_defect
 from neelwall.minimize import _odd, _SolveWork
 from conftest import make_random_admissible
 
@@ -449,6 +449,24 @@ class TestLayerWidths:
             want = params.theta_h + t
             want[0] = np.pi / 2
             assert np.max(np.abs(got[c:] - want)) <= 1e-12
+
+    def test_fold_measure_matches_refined_interpolant(self):
+        # independent of the segments: fold the linear interpolant sampled
+        # 64 times per cell and measure {fold - theta_h > t} by trapezoid
+        # weights, within one fine spacing per boundary point of the set
+        rng = np.random.default_rng(24)
+        for g, params, v in _rearrangement_profiles(rng):
+            seg_lo, seg_hi, seg_w, _ = _folded_segments(v, g, params)
+            x = np.linspace(-g.half_length, g.half_length, 64 * g.n_points + 1)
+            dx = x[1] - x[0]
+            dev = fold(np.interp(x, g.points, v)) - params.theta_h
+            levels = (np.pi / 2 - params.theta_h) * np.arange(7, 0, -1) / 8
+            want, _ = _layer_widths_direct(seg_lo, seg_hi, seg_w, levels)
+            for t, mu in zip(levels, want):
+                above = dev > t
+                boundary = np.count_nonzero(np.diff(above))
+                measured = dx * (np.count_nonzero(above) - 0.5 * (above[0] + above[-1]))
+                assert abs(measured - mu) <= dx * boundary
 
 
 class TestSinMidpoint:

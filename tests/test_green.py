@@ -220,6 +220,12 @@ class TestGreenSamples:
         assert np.max(np.abs(got - want) / want) <= 1e-12
         assert np.array_equal(got, nw.green_values(-xs, params))
 
+    @pytest.mark.parametrize("nu", [1.0, 4.0])   # 4: inside the double-root band
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x_rejected(self, nu, bad):
+        with pytest.raises(ValueError, match="x must be finite"):
+            nw.green_values(np.array([1.0, bad]), nw.ModelParams(nu, 0.0))
+
 
 class TestPoleIntegral:
     """_pole_integral against scipy.special.exp1, on rays through the first

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import neelwall as nw
-from neelwall.grid import mirror_left_half, symmetry_defect
+from neelwall.grid import find_crossing, level_crossings, mirror_left_half, symmetry_defect
 
 
 class TestMakeGrid:
@@ -189,6 +189,33 @@ class TestSymmetricClass:
         v[-11] -= 4e-3
         v[self.c] += 1e-3   # counted twice: theta(0) + theta(-0)
         assert symmetry_defect(v) == pytest.approx(4e-3, rel=1e-12)
+
+
+class TestLevelCrossings:
+    def test_single_crossing_is_find_crossing(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            points = np.cumsum(rng.uniform(0.01, 3.0, n)) - 20.0
+            values = np.sort(rng.normal(0.0, 2.0, n))[::-1]
+            level = rng.uniform(values[-1], values[0])
+            if np.any(values == level):
+                continue
+            j, x = level_crossings(points, values, level)
+            assert j.size == 1 and values[j[0]] > level > values[j[0] + 1]
+            assert x[0] == find_crossing(points, values, level)
+
+    def test_every_strict_crossing(self):
+        # a sample at the level is not a crossing; each x lies in its cell
+        # and the linear interpolant is at the level there
+        points = np.linspace(-3.0, 3.0, 61)
+        values = np.sin(2.0 * points)
+        values[30] = 0.0
+        j, x = level_crossings(points, values, 0.0)
+        assert 30 not in j and 29 not in j
+        assert j.size == np.count_nonzero(np.abs(np.diff(np.sign(values))) == 2)
+        assert np.all((points[j] <= x) & (x <= points[j + 1]))
+        assert np.max(np.abs(np.interp(x, points, values))) <= 1e-15
 
 
 class TestProfile:

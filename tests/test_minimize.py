@@ -152,6 +152,26 @@ class TestMinimize:
         assert result.iterations == 0
         assert result.residual_sup > 1e-6
 
+    def test_ascent_direction_stops_before_any_trial(self, monkeypatch):
+        # _line_search's guard: a direction of non-negative slope ends the
+        # solve without evaluating a trial point
+        newton_direction = minimize_module._newton_direction
+        energy_change = minimize_module.LocalExpansion.energy_change
+        trials = []
+
+        def counted(self, trial):
+            trials.append(trial)
+            return energy_change(self, trial)
+
+        monkeypatch.setattr(minimize_module, "_newton_direction",
+                            lambda *args: -newton_direction(*args))
+        monkeypatch.setattr(minimize_module.LocalExpansion, "energy_change", counted)
+        grid = nw.make_grid(20.0, 512)
+        result = nw.minimize(nw.reference_profile(grid, nw.ModelParams(1.0, 0.0)))
+        assert not result.converged
+        assert result.iterations == 0
+        assert trials == []
+
     def test_negative_curvature_start_converges(self, monkeypatch):
         # from a pi/2 plateau between the pinned ends, CG meets negative
         # curvature on its first direction, whose descent step is then taken
@@ -357,3 +377,14 @@ class TestFindCrossing:
         points = np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             find_crossing(points, np.array([2.0, 1.5, 1.2]), 1.0)
+
+    def test_touch_and_strict_crossing_rejected(self):
+        points = np.arange(5.0)
+        with pytest.raises(ValueError, match="crosses the level more than once"):
+            find_crossing(points, np.array([3.0, 1.0, 0.5, 2.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0, 4.0, 5.0],
+                                        [2.0, 1.0, 2.0, 3.0, 4.0]])
+    def test_touch_without_crossing_rejected(self, values):
+        with pytest.raises(ValueError, match="touched without a transversal crossing"):
+            find_crossing(np.arange(5.0), np.array(values), 1.0)
