@@ -3,12 +3,13 @@
 
 Solves a wall on a long domain and tabulates the local log-log slope and the
 compensated profile x^2 (theta - theta_h) across fit windows, together with
-the amplitude estimates: the multipole with its three charges, the tail fit
-on [L/8, L/4] and the far field, the median of x^2 (theta - theta_h) on
-[L/16, L/8].  A window must sit beyond the crossover from the exponentially
-decaying core of the fundamental solution (scale ~ 2 / (nu cos^2 theta_h))
-and beyond its x^{-4} correction; for nu ~ 1 that means x of order 15 and
-up, so the far field wants a long domain (--half-length 320 --points 32768).
+the amplitude estimates: the multipole -nu (dE/dh) / (2 pi cos theta_h) with
+the energy's h-derivative behind it, the tail fit on [L/8, L/4] and the far
+field, the median of x^2 (theta - theta_h) on [L/16, L/8].  A window must
+sit beyond the crossover from the exponentially decaying core of the
+fundamental solution (scale ~ 2 / (nu cos^2 theta_h)) and beyond its x^{-4}
+correction; for nu ~ 1 that means x of order 15 and up, so the far field
+wants a long domain (--half-length 320 --points 32768).
 """
 
 import argparse
@@ -55,9 +56,9 @@ def main():
     far = (x >= args.half_length / 16) & (x <= args.half_length / 8)
     far_field = float(np.median(x[far] ** 2 * dev[far]))
     print(f"\namplitudes: multipole {report.amplitude_multipole:.6f} "
-          f"= {coeff:.6f} x (forcing integral {report.forcing_integral:.6f} "
-          f"+ corner charge {report.corner_charge:.6f} "
-          f"+ stray-tail charge {report.stray_tail_charge:.6f}), "
+          f"= -nu/(2 pi c) x dE/dh = "
+          f"{-args.nu / (2 * np.pi * params.cos_theta_h):.6f} "
+          f"x {nw.field_derivative(p):.6f}, "
           f"tail fit {report.amplitude_tailfit:.6f}, "
           f"far field [L/16, L/8] {far_field:.6f}")
     print(f"ratio multipole/tailfit = "

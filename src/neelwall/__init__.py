@@ -21,6 +21,7 @@ from .energy import (
     clamp_rotations,
     energy,
     energy_gradient,
+    field_derivative,
     sin_midpoint,
     symmetrize_rearrange,
 )
@@ -52,7 +53,7 @@ __all__ = [
     "interpolate",
     "FieldSamples", "half_laplacian_spectral", "half_laplacian_pv",
     "h_half_seminorm_sq",
-    "EnergyBreakdown", "energy", "energy_gradient",
+    "EnergyBreakdown", "energy", "energy_gradient", "field_derivative",
     "clamp_rotations", "symmetrize_rearrange", "sin_midpoint",
     "SolveOptions", "SolveResult", "minimize", "recenter",
     "green_hat", "green_quadrature", "green_decay_coeff", "green_samples",

@@ -107,6 +107,8 @@ def _cmd_green(args) -> int:
     params = ModelParams(args.nu, args.h)
     if not np.isfinite(args.xmax):   # green_values' rule, before linspace warns
         raise ValueError("x must be finite")
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
     xs = np.linspace(-args.xmax, args.xmax, args.samples)
     doc = {
         "kind": "green_samples",

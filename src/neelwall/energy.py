@@ -222,6 +222,35 @@ def energy_gradient(p: Profile) -> FieldSamples:
     return FieldSamples(p.grid, gradient_values(p.values, p.grid, p.params))
 
 
+def field_derivative(p: Profile) -> float:
+    """dE/dh along the family of walls pinned at the plateaus.
+
+    With c = cos(theta_h), s the spacing, u = sin theta - h and Q the
+    trapezoid integral of u,
+
+        dE/dh = -[Q + ((theta_0 - theta_1) + (theta_{N-1} - theta_N)) / (c s)
+                  - (nu/2) s halfLap(u)_0].
+
+    At fixed theta, dE/dh = -Q: detrending maps constants to zero, so the
+    stray term does not see h.  The pinned ends theta_0 = pi - theta_h and
+    theta_N = theta_h move by -+1/c per unit h, and dE/dtheta_0 - dE/dtheta_N
+    is the exchange flux plus the stray end term -(nu/2) c s halfLap(u)_0;
+    the anisotropy's end terms vanish with u on the plateaus.  On a
+    converged wall the interior gradient is zero, so this is the derivative
+    of the minimum energy (the envelope theorem).
+
+    Raises:
+        ValueError: an end sample more than 1e-9 off its plateau.
+    """
+    if not p.is_pinned(tol=1e-9):
+        raise ValueError("field_derivative requires a profile pinned at the plateaus")
+    grid, params, v = p.grid, p.params, p.values
+    u = np.sin(v) - params.h
+    flux = ((v[0] - v[1]) + (v[-2] - v[-1])) / (params.cos_theta_h * grid.spacing)
+    stray_end = 0.5 * params.nu * grid.spacing * half_laplacian_spectral_values(u, grid)[0]
+    return -float(np.sum(grid.trapezoid * u) + flux - stray_end)
+
+
 def clamp_values(values: np.ndarray, params: ModelParams, out=None) -> np.ndarray:
     """Fold into [0, pi], then truncate to [theta_h, pi - theta_h].
 

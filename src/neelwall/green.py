@@ -16,16 +16,17 @@ root at nu cos(theta_h) = 4 and for nu cos(theta_h) < 1e-5, G comes from
 `green_quadrature`, which integrates the same integral by composite
 Gauss-Legendre quadrature independently of the closed form and checks it.
 
-Writing the folded wall deviation rho - theta_h as L^{-1} of the nonlinear
-forcing f = f1 + f2 + f3 turns the x^{-2} tail amplitude into a charge times
-green_decay_coeff.  The fold has a corner at x = 0 (the slopes of rho jump
-from +|theta'(0)| to -|theta'(0)|), so L(rho - theta_h) carries a point
-charge 2|theta'(0)| at the origin on top of the smooth forcing.  The charge
-entering the amplitude is the integral of f plus that corner term, plus the
-direct x^{-2} tail of f2 = (nu/2) c halfLap(w2): f2 integrates to zero, but
-halfLap w ~ -(int w) / (pi x^2), and near k = 0 green_hat is
-1/c^2 - (nu / 2c^2)|k| + ..., so that tail adds -c int w2 to the charge
-(c = cos theta_h).
+The wall's x^{-2} tail amplitude is a derivative of its energy.  Far out
+the wall equation linearizes to L w = f, so the amplitude is
+green_decay_coeff times the total charge that L sees, and on a wall pinned
+at the plateaus that charge is -c dE/dh (c = cos theta_h):
+
+    A = -nu (dE/dh) / (2 pi c),
+
+with dE/dh the discrete energy's exact h-derivative, `field_derivative`.
+`forcing_terms` gives the forcing f = f1 + f2 + f3 of the folded deviation
+rho - theta_h and the point charge 2|theta'(0)| of the fold's corner;
+convolve_green rebuilds the wall from the two.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .energy import field_derivative
 from .fractional import _lag_convolve, half_laplacian_spectral_values
 from .grid import (
     FieldSamples,
@@ -331,9 +333,9 @@ class ForcingTerms:
 
     f_total is the exact nodewise sum f1 + f2 + f3.  corner_charge is the
     point charge 2|theta'(0)| carried by L(rho - theta_h) at the fold corner;
-    it is not part of f_total but belongs to the total charge seen by the
-    far field.  w2_integral is the trapezoid integral of w2, where
-    f2 = (nu/2) c halfLap(w2); the far field sees -c times it as a charge.
+    it is not part of f_total.  The total charge the far field sees is
+    -cos(theta_h) dE/dh (`field_derivative`), so the tail amplitude
+    (`decay_amplitude`) needs none of these fields.
     """
 
     f1: FieldSamples
@@ -341,7 +343,6 @@ class ForcingTerms:
     f3: FieldSamples
     f_total: FieldSamples
     corner_charge: float
-    w2_integral: float
 
 
 def _check_wall_profile(p: Profile, what: str):
@@ -366,17 +367,15 @@ def forcing_terms(p: Profile) -> ForcingTerms:
     _check_wall_profile(p, "forcing_terms")
     grid, params = p.grid, p.params
     c = params.cos_theta_h
-    th = params.theta_h
     cidx = grid.center_index
 
     rho = fold(p.values)
-    dev = rho - th
+    dev = rho - params.theta_h
     sin_rho = np.sin(rho)
     cos_rho = np.cos(rho)
 
-    f1 = (c * (c - cos_rho) * dev
-          + cos_rho * (c * dev - sin_rho + params.h))
     w2 = c * dev - sin_rho + params.h
+    f1 = c * (c - cos_rho) * dev + cos_rho * w2
     f2 = 0.5 * params.nu * c * half_laplacian_spectral_values(w2, grid)
     w3 = sin_rho - params.h
     f3 = (0.5 * params.nu * (c - cos_rho)
@@ -391,7 +390,6 @@ def forcing_terms(p: Profile) -> ForcingTerms:
         f3=FieldSamples(grid, f3),
         f_total=FieldSamples(grid, f_total),
         corner_charge=float(corner_charge),
-        w2_integral=float(np.sum(grid.trapezoid * w2)),
     )
 
 
@@ -399,43 +397,34 @@ def forcing_terms(p: Profile) -> ForcingTerms:
 class DecayReport:
     """Two independent estimates of the x^{-2} tail amplitude plus fit data.
 
-    amplitude_multipole: green_decay_coeff times the total charge: the
-        integral of the forcing, the fold-corner point charge and the
-        stray-tail charge.
+    amplitude_multipole: green_decay_coeff times the total charge
+        -cos(theta_h) dE/dh, that is -nu (dE/dh) / (2 pi cos theta_h) with
+        dE/dh from `field_derivative`.
     amplitude_tailfit: median of x^2 (rho(x) - theta_h) over the fit window
         [half_length/8, half_length/4] (median for robustness against the
         slow o(x^{-2}) drift).
     exponent_fit: log-log least-squares slope over the same window.
     green_coeff: nu / (2 pi cos^2 theta_h).
-    forcing_integral: trapezoid of f_total alone, without the corner charge.
-    corner_charge: 2|theta'(0)|, the fold corner's point charge.
-    stray_tail_charge: -cos(theta_h) times the integral of w2, the charge of
-        the direct x^{-2} tail of f2.
     """
 
     amplitude_multipole: float
     amplitude_tailfit: float
     exponent_fit: float
     green_coeff: float
-    forcing_integral: float
-    corner_charge: float
-    stray_tail_charge: float
 
 
 def decay_amplitude(p: Profile) -> DecayReport:
     """Estimate the far-field amplitude of a converged, recentered wall.
 
     Raises:
-        ValueError: bad profile, fewer than two grid samples in the fit
-            window [L/8, L/4], or non-positive tail values in it.
+        ValueError: a profile not recentered, not monotone or not pinned,
+            fewer than two grid samples in the fit window [L/8, L/4], or
+            non-positive tail values in it.
     """
-    terms = forcing_terms(p)
+    _check_wall_profile(p, "decay_amplitude")
     grid, params = p.grid, p.params
-    forcing_integral = float(np.sum(grid.trapezoid * terms.f_total.values))
-    coeff = green_decay_coeff(params)
-    stray_tail_charge = -params.cos_theta_h * terms.w2_integral
-    amplitude_multipole = coeff * (forcing_integral + terms.corner_charge
-                                   + stray_tail_charge)
+    amplitude_multipole = (-params.nu / (2.0 * np.pi * params.cos_theta_h)
+                           * field_derivative(p))
 
     x_lo, x_hi = grid.half_length / 8.0, grid.half_length / 4.0
     x = grid.points
@@ -450,13 +439,10 @@ def decay_amplitude(p: Profile) -> DecayReport:
     slope, _ = np.polyfit(np.log(xs), np.log(dev), 1)
 
     return DecayReport(
-        amplitude_multipole=float(amplitude_multipole),
+        amplitude_multipole=amplitude_multipole,
         amplitude_tailfit=amplitude_tailfit,
         exponent_fit=float(slope),
-        green_coeff=coeff,
-        forcing_integral=forcing_integral,
-        corner_charge=terms.corner_charge,
-        stray_tail_charge=stray_tail_charge,
+        green_coeff=green_decay_coeff(params),
     )
 
 

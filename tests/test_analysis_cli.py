@@ -560,6 +560,14 @@ class TestCli:
         assert code == 1
         assert "error: x must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_green_rejects_no_samples(self, samples, tmp_path, capsys):
+        out = tmp_path / "green.json"
+        code = main(["green", "--nu", "1", "--samples", samples, "--out", str(out)])
+        assert code == 1
+        assert "error: samples must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_green_is_the_kernel_evaluator(self, tmp_path, quadrature_calls):
         # no quadrature call, and the closed form to 1e-12 at every sample
         out = tmp_path / "green.json"

@@ -125,6 +125,24 @@ class TestGradient:
         assert np.max(np.abs(nw.energy_gradient(p).values)) > 1e-2
 
 
+class TestFieldDerivative:
+    @pytest.mark.parametrize("nu, h", [(1.0, 0.2), (5.0, 0.3), (0.1, 0.9)])
+    def test_derivative_along_the_pinned_family(self, nu, h):
+        # interior held fixed, ends on the plateaus of h +- t: exact for any
+        # pinned profile, so the unconverged reference profile will do
+        g, params = _grid_params(h=h, nu=nu, n=512)
+        v = nw.reference_profile(g, params).values
+
+        def pinned_energy(field):
+            w = v.copy()
+            w[0], w[-1] = np.pi - np.arcsin(field), np.arcsin(field)
+            return sum(energy_parts(w, g, nw.ModelParams(nu, field)))
+
+        t = 1e-6
+        fd = (pinned_energy(h + t) - pinned_energy(h - t)) / (2 * t)
+        assert nw.field_derivative(nw.Profile(g, v, params)) == pytest.approx(fd, rel=1e-7)
+
+
 class TestHessian:
     @staticmethod
     def _odd_interior(grid, rng, modes=8):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -470,14 +471,52 @@ class TestDecayAmplitude:
         far_field = np.median(x[window] ** 2 * (p.values[window] - p.params.theta_h))
         assert nw.decay_amplitude(p).amplitude_multipole == pytest.approx(far_field, rel=0.03)
 
-    def test_charges_sum_to_the_multipole(self, baseline):
-        p = baseline.profile
-        report = nw.decay_amplitude(p)
-        terms = nw.forcing_terms(p)
-        assert report.stray_tail_charge == -p.params.cos_theta_h * terms.w2_integral
-        assert report.stray_tail_charge < 0.0
-        assert report.amplitude_multipole == report.green_coeff * (
-            report.forcing_integral + report.corner_charge + report.stray_tail_charge)
+    @pytest.mark.parametrize("nu, h, half_length, n_points", [
+        (5.0, 0.3, 40.0, 4096), (10.0, 0.2, 40.0, 4096), (0.1, 0.5, 40.0, 4096),
+        (1.0, 0.3, 80.0, 8192), (2.0, 0.5, 80.0, 8192)])
+    def test_multipole_is_the_energy_h_derivative(self, nu, h, half_length, n_points):
+        # A = -nu (dE/dh) / (2 pi cos theta_h), dE/dh by a central difference
+        # of tightly converged energies: a check that does not go through the
+        # amplitude's own formula
+        delta, tight = 1e-3, nw.SolveOptions(tol=1e-11)
+
+        def energy_at(field):
+            result = nw.solve_cell(nu, field, tight, half_length, n_points)
+            assert result.converged
+            return result.energy.total
+
+        de_dh = (energy_at(h + delta) - energy_at(h - delta)) / (2.0 * delta)
+        p = nw.solve_cell(nu, h, None, half_length, n_points).profile
+        expected = -nu * de_dh / (2.0 * np.pi * p.params.cos_theta_h)
+        assert nw.decay_amplitude(p).amplitude_multipole == pytest.approx(
+            expected, rel=1e-6)
+
+    def test_charges_sum_to_the_multipole(self, baseline, asymptotic_solves,
+                                          monkeypatch):
+        # the three charges the far field sees: the forcing integral, the fold
+        # corner and the direct x^{-2} tail of f2 = (nu/2) c halfLap(w2),
+        # -c int w2, since halfLap w ~ -(int w) / (pi x^2)
+        walls = [baseline.profile] + [r.profile for r in asymptotic_solves.values()]
+        amplitudes = [nw.decay_amplitude(p).amplitude_multipole for p in walls]
+        for p, amplitude in zip(walls, amplitudes):
+            params, trapezoid = p.params, p.grid.trapezoid
+            c = params.cos_theta_h
+            terms = nw.forcing_terms(p)
+            rho = fold(p.values)
+            w2 = c * (rho - params.theta_h) - np.sin(rho) + params.h
+            stray_tail_charge = -c * np.sum(trapezoid * w2)
+            assert stray_tail_charge < 0.0
+            charge = (np.sum(trapezoid * terms.f_total.values) + terms.corner_charge
+                      + stray_tail_charge)
+            assert nw.green_decay_coeff(params) * charge == pytest.approx(
+                amplitude, rel=1e-10), (params.nu, params.h)
+
+        # the amplitude needs no forcing
+        def no_forcing(p):
+            raise AssertionError("decay_amplitude called forcing_terms")
+
+        monkeypatch.setattr(green, "forcing_terms", no_forcing)
+        assert [nw.decay_amplitude(p).amplitude_multipole for p in walls] == amplitudes
 
     def test_total_charge_identity(self, asymptotic_solves):
         # far from the wall c^2 (theta - theta_h) ~ -(nu/2) c halfLap(sin theta - h)
@@ -492,6 +531,21 @@ class TestDecayAmplitude:
             identity = (p.params.cos_theta_h * np.sum(p.grid.trapezoid * (np.sin(v) - h))
                         + abs(v[1] - v[0]) / s + abs(v[-1] - v[-2]) / s)
             assert abs(identity - charge) <= 1e-4 * charge, (nu, h)
+
+    def test_unpinned_wall_rejected(self, baseline):
+        # the h-derivative moves the pinned ends with the plateaus, so a wall
+        # whose end sits off its plateau has no amplitude; this one is still
+        # recentered and non-increasing
+        v = baseline.profile.values.copy()
+        v[0] += 1e-6
+        unpinned = dataclasses.replace(baseline, profile=baseline.profile.with_values(v))
+        assert np.all(np.diff(v) <= 0.0)
+        with pytest.raises(ValueError, match="pinned"):
+            nw.field_derivative(unpinned.profile)
+        with pytest.raises(ValueError, match="pinned"):
+            nw.decay_amplitude(unpinned.profile)
+        assert nw.verify(unpinned).decay is None
+        assert nw.verify(baseline).decay is not None
 
     def test_plateau_in_the_window_rejected(self):
         # the reference profile is flat at theta_h on [L/8, L/4]
