@@ -30,8 +30,8 @@ def main():
     params = nw.ModelParams(args.nu, args.h)
     coeff = nw.green_decay_coeff(params)
     print(f"fundamental solution: decay coefficient {coeff:.6f}")
-    for x in (5.0, 10.0, 20.0, 50.0):
-        g = nw.green_quadrature(x, params)
+    xs = np.array([5.0, 10.0, 20.0, 50.0])
+    for x, g in zip(xs, nw.green_values(xs, params)):
         print(f"  x={x:5.1f}: x^2 G(x) / coeff = {x * x * g / coeff:.4f}")
 
     result = nw.solve_cell(args.nu, args.h, nw.SolveOptions(),

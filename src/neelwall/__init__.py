@@ -9,7 +9,6 @@ uniqueness of the minimizer.
 
 from .analysis import (
     SweepRow,
-    SweepTable,
     VerificationReport,
     solve_cell,
     sweep,
@@ -60,7 +59,7 @@ __all__ = [
     "green_values",
     "apply_linearized_operator", "ForcingTerms", "forcing_terms",
     "DecayReport", "decay_amplitude", "convolve_green",
-    "VerificationReport", "verify", "SweepRow", "SweepTable", "sweep",
+    "VerificationReport", "verify", "SweepRow", "sweep",
     "solve_cell", "wall_width",
     "emit", "load_result", "load_table",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -96,6 +96,9 @@ def wall_width(p: Profile) -> float:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (nu, h) cell of a sweep; NaN width and amplitudes when the cell
+    did not converge or its wall fails the decay preconditions."""
+
     nu: float
     h: float
     energy_total: float
@@ -104,25 +107,6 @@ class SweepRow:
     amplitude_tailfit: float
     residual_sup: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """One row per requested (nu, h) cell, lexicographic in the inputs."""
-
-    rows: List[SweepRow] = field(default_factory=list)
-
-    COLUMNS = tuple(f.name for f in fields(SweepRow))
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-    @property
-    def all_converged(self) -> bool:
-        return all(r.converged for r in self.rows)
 
 
 def _decay_report(p: Profile) -> Optional[DecayReport]:
@@ -145,8 +129,9 @@ def solve_cell(nu: float, h: float, opts: Optional[SolveOptions] = None,
 def _row_for(nu: float, h: float, opts: SolveOptions,
              half_length: float, n_points: int) -> SweepRow:
     result = solve_cell(nu, h, opts, half_length, n_points)
+    params = result.profile.params
     d = _decay_report(result.profile) if result.converged else None
-    return SweepRow(nu=nu, h=h, energy_total=result.energy.total,
+    return SweepRow(nu=params.nu, h=params.h, energy_total=result.energy.total,
                     wall_width=wall_width(result.profile) if d else math.nan,
                     amplitude_multipole=d.amplitude_multipole if d else math.nan,
                     amplitude_tailfit=d.amplitude_tailfit if d else math.nan,
@@ -163,12 +148,13 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
           opts: Optional[SolveOptions] = None,
           half_length: float = DEFAULT_HALF_LENGTH,
           n_points: int = DEFAULT_N_POINTS,
-          parallel: bool = True) -> SweepTable:
-    """Solve every (nu, h) cell independently.
+          parallel: bool = True) -> List[SweepRow]:
+    """Solve every (nu, h) cell independently: one row per cell,
+    lexicographic in the inputs.
 
     Cells run on at most one thread per CPU this process may use when
     `parallel` is set, on one thread otherwise; the solves are pure, so both
-    give identical tables.  A row records a cell that did not converge or
+    give identical rows.  A row records a cell that did not converge or
     whose wall fails the decay preconditions (NaN width and amplitudes); any
     other exception of a cell propagates.
 
@@ -181,9 +167,8 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
     for nu, h in cells:
         ModelParams(nu, h)   # and on an invalid cell
     if not cells:
-        return SweepTable(rows=[])
+        return []
     workers = min(len(cells), _usable_cpus()) if parallel else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(
+        return list(pool.map(
             lambda c: _row_for(c[0], c[1], opts, half_length, n_points), cells))
-    return SweepTable(rows=rows)

@@ -129,16 +129,16 @@ def _cmd_green(args) -> int:
 
 def _cmd_sweep(args) -> int:
     opts = SolveOptions(tol=args.tol, max_iter=args.max_iter)
-    table = sweep(args.nu_list, args.h_list, opts,
-                  half_length=args.half_length, n_points=args.points)
-    for row in table:
+    rows = sweep(args.nu_list, args.h_list, opts,
+                 half_length=args.half_length, n_points=args.points)
+    for row in rows:
         status = "ok" if row.converged else "FAILED"
         print(f"nu={row.nu:g} h={row.h:g}: {status}  "
               f"E={row.energy_total:.6g}  width={row.wall_width:.4g}")
     if args.out:
-        emit(table, args.format, args.out)
+        emit(rows, args.format, args.out)
         print(f"wrote {args.out}")
-    return 0 if table.all_converged else 2
+    return 0 if all(r.converged for r in rows) else 2
 
 
 def _cmd_verify(args) -> int:

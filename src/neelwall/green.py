@@ -11,7 +11,7 @@ green_decay_coeff / x^2.  It has an integral representation over t in
 fractions turn it into exponential integrals E1 at p sqrt(r1) and
 p sqrt(r2), p = |x| cos(theta_h), which `green_values` evaluates for a
 whole array of points at once, G(0) as the closed form's limit p -> 0;
-`green_samples` is its cached kernel on a grid's lags.  Near the double
+`green_samples` is its kernel on a grid's lags.  Near the double
 root at nu cos(theta_h) = 4 and for nu cos(theta_h) < 1e-5, G comes from
 `green_quadrature`, which integrates the same integral by composite
 Gauss-Legendre quadrature independently of the closed form and checks it.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -299,14 +298,11 @@ def green_values(x, params: ModelParams) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
 def green_samples(grid: Grid1D, params: ModelParams) -> np.ndarray:
     """G at every lag of the grid, -N s ... N s: green_values on the N + 1
-    non-negative lags, mirrored, read-only and cached per (grid, params)."""
+    non-negative lags, mirrored; a new array on every call."""
     half = green_values(np.arange(grid.n_points + 1) * grid.spacing, params)
-    kernel = np.concatenate([half[:0:-1], half])
-    kernel.setflags(write=False)
-    return kernel
+    return np.concatenate([half[:0:-1], half])
 
 
 def apply_linearized_operator(u: FieldSamples, params: ModelParams) -> FieldSamples:
@@ -404,13 +400,13 @@ class DecayReport:
         [half_length/8, half_length/4] (median for robustness against the
         slow o(x^{-2}) drift).
     exponent_fit: log-log least-squares slope over the same window.
-    green_coeff: nu / (2 pi cos^2 theta_h).
+
+    The Green function's decay coefficient is green_decay_coeff(params).
     """
 
     amplitude_multipole: float
     amplitude_tailfit: float
     exponent_fit: float
-    green_coeff: float
 
 
 def decay_amplitude(p: Profile) -> DecayReport:
@@ -442,7 +438,6 @@ def decay_amplitude(p: Profile) -> DecayReport:
         amplitude_multipole=amplitude_multipole,
         amplitude_tailfit=amplitude_tailfit,
         exponent_fit=float(slope),
-        green_coeff=green_decay_coeff(params),
     )
 
 
@@ -450,7 +445,7 @@ def convolve_green(f: FieldSamples, params: ModelParams) -> FieldSamples:
     """Discrete convolution with the sampled fundamental solution.
 
     Trapezoid weights on the input; the kernel is green_samples, G at every
-    lag (cached).  Reconstructs L^{-1} f on the grid.
+    lag, built on each call.  Reconstructs L^{-1} f on the grid.
     """
     grid = f.grid
     weighted = f.values * grid.trapezoid

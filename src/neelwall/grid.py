@@ -111,7 +111,8 @@ class ModelParams:
 
     nu is the thin film parameter weighting the nonlocal stray-field term;
     h in [0, 1) is the transverse applied field.  theta_h = arcsin(h) is the
-    plateau angle of the two monodomain states.
+    plateau angle of the two monodomain states.  nu and h are stored as
+    Python floats, whatever real type was passed; a bool is rejected.
     """
 
     nu: float
@@ -119,10 +120,12 @@ class ModelParams:
     theta_h: float = field(init=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.nu) or self.nu <= 0:
+        if isinstance(self.nu, bool) or not np.isfinite(self.nu) or self.nu <= 0:
             raise ValueError(f"nu must be positive, got {self.nu}")
-        if not (0.0 <= self.h < 1.0):
+        if isinstance(self.h, bool) or not (0.0 <= self.h < 1.0):
             raise ValueError(f"h must lie in [0, 1), got {self.h}")
+        object.__setattr__(self, "nu", float(self.nu))
+        object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "theta_h", float(np.arcsin(self.h)))
 
     @property

@@ -12,16 +12,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 
-from .analysis import SweepRow, SweepTable
+from .analysis import SweepRow
 from .energy import EnergyBreakdown
 from .grid import ModelParams, Profile, make_grid
 from .minimize import SolveResult
 
 _ENERGY_PARTS = tuple(f.name for f in fields(EnergyBreakdown))
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _finite_or_none(x):
@@ -45,28 +46,30 @@ def result_to_dict(result: SolveResult) -> dict:
 
 
 def _row_to_dict(row: SweepRow) -> dict:
-    return {col: _finite_or_none(getattr(row, col)) for col in SweepTable.COLUMNS}
+    return {col: _finite_or_none(getattr(row, col)) for col in _COLUMNS}
 
 
-def table_to_csv(table: SweepTable) -> str:
-    lines = [",".join(SweepTable.COLUMNS)]
-    for r in table.rows:
+def table_to_csv(rows: List[SweepRow]) -> str:
+    lines = [",".join(_COLUMNS)]
+    for r in rows:
         lines.append(",".join(json.dumps(cell, allow_nan=False)
                               for cell in _row_to_dict(r).values()))
     return "\n".join(lines) + "\n"
 
 
-def table_to_dict(table: SweepTable) -> dict:
-    return {"kind": "sweep_table", "rows": [_row_to_dict(r) for r in table.rows]}
+def table_to_dict(rows: List[SweepRow]) -> dict:
+    return {"kind": "sweep_table", "rows": [_row_to_dict(r) for r in rows]}
 
 
-def emit(obj: Union[SolveResult, SweepTable], format: str, path: str) -> None:
-    """Write a solve result or sweep table to `path`.
+def emit(obj: Union[SolveResult, List[SweepRow]], format: str, path: str) -> None:
+    """Write a solve result or a sweep's list of rows to `path`.
 
-    Solve results serialize to JSON only; sweep tables to JSON or CSV.
+    Solve results serialize to JSON only; sweep rows to JSON or CSV, where
+    an empty list is a table with a header and no rows.
 
     Raises:
-        ValueError: unsupported (object, format) combination.
+        ValueError: unsupported (object, format) combination, or a list
+            that holds anything but SweepRows.
         OSError: unwritable destination, message names the path.
     """
     if format not in ("json", "csv"):
@@ -75,7 +78,7 @@ def emit(obj: Union[SolveResult, SweepTable], format: str, path: str) -> None:
         if format != "json":
             raise ValueError("solve results serialize to JSON only")
         text = json.dumps(result_to_dict(obj), allow_nan=False) + "\n"
-    elif isinstance(obj, SweepTable):
+    elif isinstance(obj, list) and all(isinstance(r, SweepRow) for r in obj):
         text = (table_to_csv(obj) if format == "csv"
                 else json.dumps(table_to_dict(obj), allow_nan=False) + "\n")
     else:
@@ -129,8 +132,8 @@ def load_result(path: str) -> SolveResult:
         raise ValueError(f"{path!r} holds a malformed solve result: {exc!r}") from exc
 
 
-def load_table(path: str) -> SweepTable:
-    """Read a sweep table back from CSV or JSON.
+def load_table(path: str) -> List[SweepRow]:
+    """Read a sweep's rows back from CSV or JSON, as the list sweep returned.
 
     Raises:
         OSError: unreadable file, message names the path.
@@ -150,7 +153,7 @@ def load_table(path: str) -> SweepTable:
         else:
             lines = [ln for ln in text.splitlines() if ln]
             header = lines[0].split(",") if lines else []
-            if tuple(header) != SweepTable.COLUMNS:
+            if tuple(header) != _COLUMNS:
                 raise ValueError(f"unexpected CSV header {header}")
             parsed = []
             for ln in lines[1:]:
@@ -160,9 +163,8 @@ def load_table(path: str) -> SweepTable:
                                      f"expected {len(header)}")
                 parsed.append({col: json.loads(cell)
                                for col, cell in zip(header, cells)})
-        return SweepTable(rows=[
-            SweepRow(**{col: _load_cell(col, row[col]) for col in SweepTable.COLUMNS})
-            for row in parsed])
+        return [SweepRow(**{col: _load_cell(col, row[col]) for col in _COLUMNS})
+                for row in parsed]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path!r} holds a malformed sweep table: {exc!r}") from exc
 

@@ -60,7 +60,8 @@ CG_MAX_ITER = 50   # Hessian products per Newton direction
 
 @dataclass
 class SolveOptions:
-    """Termination controls for the minimizer; max_iter counts Newton steps."""
+    """Termination controls for the minimizer; max_iter counts Newton steps.
+    tol and max_iter are stored as a Python float and int."""
 
     tol: float = 1e-6
     max_iter: int = 100
@@ -72,6 +73,7 @@ class SolveOptions:
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
                 or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
+        self.tol, self.max_iter = float(self.tol), int(self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from neelwall import analysis
 from neelwall.cli import build_parser, main
 from neelwall.io import table_to_csv
 
+COLUMNS = tuple(f.name for f in dataclasses.fields(nw.SweepRow))
+
 
 @pytest.fixture(scope="module")
 def small_solve():
@@ -128,10 +130,10 @@ class TestUnanalysedTail:
     @pytest.mark.parametrize("half_length, n_points",
                              [(2.0, 4), (2.0, 8), (4.0, 8), (20.0, 16)])
     def test_edge_cells_give_finite_rows(self, half_length, n_points):
-        table = nw.sweep([0.1, 10.0], [0.0, 0.99],
-                         half_length=half_length, n_points=n_points)
-        assert len(table) == 4
-        for row in table:
+        rows = nw.sweep([0.1, 10.0], [0.0, 0.99],
+                        half_length=half_length, n_points=n_points)
+        assert len(rows) == 4
+        for row in rows:
             assert math.isfinite(row.energy_total), row
             assert math.isfinite(row.residual_sup), row
 
@@ -151,10 +153,8 @@ class TestWallWidth:
 
 class TestSweep:
     def test_empty_inputs(self):
-        table = nw.sweep([], [0.0])
-        assert len(table) == 0
-        table = nw.sweep([1.0], [])
-        assert len(table) == 0
+        assert nw.sweep([], [0.0]) == []
+        assert nw.sweep([1.0], []) == []
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -178,12 +178,12 @@ class TestSweep:
         assert math.isnan(row.amplitude_tailfit)
 
     def test_rows_lexicographic_and_converged(self):
-        table = nw.sweep([1.0, 0.5], [0.3, 0.0],
-                         half_length=20.0, n_points=512)
-        cells = [(r.nu, r.h) for r in table]
+        rows = nw.sweep([1.0, 0.5], [0.3, 0.0],
+                        half_length=20.0, n_points=512)
+        cells = [(r.nu, r.h) for r in rows]
         assert cells == [(0.5, 0.0), (0.5, 0.3), (1.0, 0.0), (1.0, 0.3)]
-        assert table.all_converged
-        for r in table:
+        for r in rows:
+            assert r.converged
             assert r.residual_sup <= 1e-6
             assert r.wall_width > 0
 
@@ -191,7 +191,7 @@ class TestSweep:
         kwargs = dict(half_length=20.0, n_points=512)
         t1 = nw.sweep([0.5, 1.0], [0.0, 0.2], parallel=False, **kwargs)
         t2 = nw.sweep([0.5, 1.0], [0.0, 0.2], parallel=True, **kwargs)
-        assert t1.rows == t2.rows
+        assert t1 == t2
 
 
     def test_parallel_workers_capped_and_one_decay_per_row(self, monkeypatch):
@@ -209,10 +209,10 @@ class TestSweep:
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(analysis, "_row_for", recording_row_for)
         monkeypatch.setattr(analysis, "decay_amplitude", counting_decay)
-        table = nw.sweep([0.5, 1.0], [0.0, 0.2], half_length=20.0, n_points=256)
-        assert table.all_converged
+        rows = nw.sweep([0.5, 1.0], [0.0, 0.2], half_length=20.0, n_points=256)
+        assert all(r.converged for r in rows)
         assert 1 <= len(threads) <= 2
-        assert len(decays) == len(table)
+        assert len(decays) == len(rows)
 
 
 class TestEmitLoad:
@@ -257,21 +257,20 @@ class TestEmitLoad:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_csv_header_and_round_trip(self, tmp_path):
-        table = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)
+        rows = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)
         path = tmp_path / "sweep.csv"
-        nw.emit(table, "csv", str(path))
+        nw.emit(rows, "csv", str(path))
         text = path.read_text()
         assert text.splitlines()[0] == ("nu,h,energy_total,wall_width,"
                                         "amplitude_multipole,amplitude_tailfit,"
                                         "residual_sup,converged")
-        loaded = nw.load_table(str(path))
-        assert loaded.rows == table.rows
+        assert nw.load_table(str(path)) == rows
 
     def test_csv_null_metrics_load_as_nan(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        path.write_text(",".join(nw.SweepTable.COLUMNS)
+        path.write_text(",".join(COLUMNS)
                         + "\n1,0.5,null,null,null,null,null,false\n")
-        (row,) = nw.load_table(str(path)).rows
+        (row,) = nw.load_table(str(path))
         assert (row.nu, row.h, row.converged) == (1.0, 0.5, False)
         assert math.isnan(row.energy_total) and math.isnan(row.residual_sup)
 
@@ -283,7 +282,7 @@ class TestEmitLoad:
     ])
     def test_csv_malformed_row_rejected(self, tmp_path, row):
         path = tmp_path / "sweep.csv"
-        path.write_text(",".join(nw.SweepTable.COLUMNS) + "\n" + row + "\n")
+        path.write_text(",".join(COLUMNS) + "\n" + row + "\n")
         with pytest.raises(ValueError):
             nw.load_table(str(path))
 
@@ -298,7 +297,7 @@ class TestEmitLoad:
     def test_json_null_metrics_load_as_nan(self, tmp_path):
         path = self._json_table(tmp_path / "sweep.json",
                                 energy_total=None, residual_sup=None)
-        (row,) = nw.load_table(path).rows
+        (row,) = nw.load_table(path)
         assert (row.nu, row.h, row.converged) == (1.0, 0.0, False)
         assert math.isnan(row.energy_total) and math.isnan(row.residual_sup)
 
@@ -319,7 +318,7 @@ class TestEmitLoad:
              "amplitude_multipole": 1.0, "amplitude_tailfit": 1.0,
              "residual_sup": 1e-7, "converged": False}]}),
         "truncated.json": '{"kind": "sweep_table", "rows": [',
-        "badcell.csv": (",".join(nw.SweepTable.COLUMNS)
+        "badcell.csv": (",".join(COLUMNS)
                         + "\n1,0,abc,1,1,1,1e-7,true\n"),
         "listrows.json": '{"kind": "sweep_table", "rows": [[1, 0]]}',
         "toplist.json": '[{"kind": "sweep_table", "rows": []}]',
@@ -410,10 +409,10 @@ class TestEmitLoad:
         assert nw.load_result(str(path)).profile.grid is nw.make_grid(40, 4096)
 
     def test_table_json_round_trip(self, tmp_path):
-        table = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)
+        rows = nw.sweep([1.0], [0.0], half_length=20.0, n_points=512)
         path = tmp_path / "sweep.json"
-        nw.emit(table, "json", str(path))
-        assert nw.load_table(str(path)).rows == table.rows
+        nw.emit(rows, "json", str(path))
+        assert nw.load_table(str(path)) == rows
 
     def test_invalid_path_names_path(self, small_solve):
         with pytest.raises(OSError, match="no/such/dir"):
@@ -434,6 +433,32 @@ class TestEmitLoad:
         with pytest.raises(ValueError, match="cannot emit object of type dict"):
             nw.emit({"kind": "solve_result"}, "json", str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_and_load_table_return_plain_lists(self, tmp_path, fmt):
+        rows = nw.sweep([1.0, 2.0], [0.0], half_length=20.0, n_points=256)
+        path = tmp_path / f"sweep.{fmt}"
+        nw.emit(rows, fmt, str(path))
+        loaded = nw.load_table(str(path))
+        assert type(rows) is list and type(loaded) is list
+        assert all(type(r) is nw.SweepRow for r in loaded)
+        assert loaded == rows
+
+    def test_list_holding_a_non_row_rejected(self, tmp_path):
+        row = nw.SweepRow(nu=1.0, h=0.0, energy_total=1.0, wall_width=1.0,
+                          amplitude_multipole=1.0, amplitude_tailfit=1.0,
+                          residual_sup=1e-7, converged=True)
+        path = tmp_path / "x.csv"
+        for rows in ([row, dataclasses.asdict(row)], [None]):
+            with pytest.raises(ValueError, match="cannot emit object of type"):
+                nw.emit(rows, "csv", str(path))
+        assert not path.exists()
+
+    def test_empty_list_writes_header_only_csv(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        nw.emit([], "csv", str(path))
+        assert path.read_text() == ",".join(COLUMNS) + "\n"
+        assert nw.load_table(str(path)) == []
 
     def test_table_file_is_not_a_result(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -525,7 +550,7 @@ class TestCli:
                      "--out", str(out), "--format", fmt])
         assert code == 2
         assert "null" in out.read_text()
-        (row,) = nw.load_table(str(out)).rows
+        (row,) = nw.load_table(str(out))
         assert not row.converged
         assert math.isfinite(row.energy_total) and math.isfinite(row.residual_sup)
         assert math.isnan(row.wall_width)
@@ -672,12 +697,11 @@ class TestSerializationFormat:
                           wall_width=0.1 + 0.2, amplitude_multipole=1.0,
                           amplitude_tailfit=1.0, residual_sup=1e-7,
                           converged=True)
-        table = nw.SweepTable(rows=[row])
         path = tmp_path / "sweep.json"
-        nw.emit(table, "json", str(path))
+        nw.emit([row], "json", str(path))
         json_text = path.read_text()
-        csv_cells = dict(zip(nw.SweepTable.COLUMNS,
-                             table_to_csv(table).splitlines()[1].split(",")))
+        csv_cells = dict(zip(COLUMNS,
+                             table_to_csv([row]).splitlines()[1].split(",")))
         for col, text in shortest.items():
             assert csv_cells[col] == text
             assert f'"{col}": {text},' in json_text
@@ -689,10 +713,10 @@ class TestSerializationFormat:
 
         nw.emit(dataclasses.replace(small_solve, residual_sup=math.nan),
                 "json", str(tmp_path / "result.json"))
-        failed = nw.SweepTable(rows=[nw.SweepRow(
+        failed = [nw.SweepRow(
             nu=1.0, h=0.0, energy_total=math.nan, wall_width=math.nan,
             amplitude_multipole=math.nan, amplitude_tailfit=math.nan,
-            residual_sup=math.inf, converged=False)])
+            residual_sup=math.inf, converged=False)]
         nw.emit(failed, "json", str(tmp_path / "sweep.json"))
         assert main(["green", "--nu", "1", "--samples", "3",
                      "--out", str(tmp_path / "green.json")]) == 0
@@ -709,3 +733,35 @@ class TestScripts:
                                           "--points", "512"])
         runpy.run_path(str(script), run_name="__main__")
         assert "amplitudes:" in capsys.readouterr().out
+
+
+class TestPythonScalars:
+    """Parameter records hold Python scalars, so every result serializes
+    whatever real types the caller passed."""
+
+    def test_numpy_integer_cells_write_csv(self, tmp_path):
+        rows = nw.sweep(np.arange(1, 3), [0.0], half_length=20.0, n_points=256)
+        path = tmp_path / "sweep.csv"
+        nw.emit(rows, "csv", str(path))
+        assert nw.load_table(str(path)) == rows
+        assert [(type(r.nu), type(r.h)) for r in rows] == [(float, float)] * 2
+
+    def test_bool_nu_rejected(self):
+        # True was stored as nu and written as "nu": true, which
+        # load_result rejects
+        with pytest.raises(ValueError, match="nu must be positive"):
+            nw.solve_cell(True, 0.0, None, 20.0, 256)
+        with pytest.raises(ValueError, match="h must lie in"):
+            nw.ModelParams(1.0, False)
+
+    def test_numpy_tolerance_gives_a_python_bool(self, tmp_path):
+        opts = nw.SolveOptions(tol=np.float64(1e-8), max_iter=np.int64(100))
+        result = nw.solve_cell(1.0, 0.0, opts, 20.0, 256)
+        nw.emit(result, "json", str(tmp_path / "result.json"))
+        assert (type(opts.tol), type(opts.max_iter)) == (float, int)
+        assert result.converged is True
+        assert nw.load_result(str(tmp_path / "result.json")).converged is True
+        rows = nw.sweep([1.0], [0.0], opts, half_length=20.0, n_points=256)
+        assert rows[0].converged is True
+        nw.emit(rows, "json", str(tmp_path / "sweep.json"))
+        assert nw.load_table(str(tmp_path / "sweep.json")) == rows

@@ -34,11 +34,6 @@ class TestMakeGrid:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    def test_one_green_kernel_per_grid_and_params(self):
-        grid, params = nw.make_grid(10.0, 64), nw.ModelParams(1.0, 0.2)
-        kernel = nw.green_samples(grid, params)
-        assert nw.green_samples(nw.Grid1D(10.0, 64), nw.ModelParams(1.0, 0.2)) is kernel
-
     def test_rejects_odd_count(self):
         # and fewer than 4 points, built either way
         for build in (nw.make_grid, nw.Grid1D):
