@@ -26,9 +26,9 @@ class VerificationReport:
 
     Flags are consistent with their stored margins: monotone_strict is true
     iff monotone_margin > 0, range_ok iff every interior value lies strictly
-    between the plateau angles, symmetry_ok iff symmetry_defect <= 10 tol and
-    residual_ok iff the solve's residual_sup <= tol, for the tol given to
-    verify.
+    between the plateau angles, symmetry_ok iff symmetry_defect <=
+    SYMMETRY_TOL_FACTOR * tol and residual_ok iff the solve's residual_sup
+    <= tol, for the tol given to verify.
     """
 
     monotone_strict: bool
@@ -44,8 +44,10 @@ class VerificationReport:
 def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationReport:
     """Run every profile check on a converged solve and aggregate margins.
 
-    decay is the profile's tail report from decay_amplitude, computed here,
-    or None when the wall fails its preconditions.
+    decay is the profile's tail report from decay_amplitude, or None when
+    the wall fails its preconditions (decay_amplitude raises ValueError).
+    verify is the one producer of a wall's tail report: sweep rows take
+    theirs from it too.
 
     Raises:
         ValueError: a tol that SolveOptions rejects, or result not converged.
@@ -70,13 +72,18 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
         and np.all(interior < np.pi - params.theta_h)
     )
 
+    try:
+        decay = decay_amplitude(p)
+    except ValueError:
+        decay = None
+
     return VerificationReport(
         monotone_strict=monotone_strict,
         monotone_margin=monotone_margin,
         violation_index=violation_index,
         symmetry_defect=defect,
         range_ok=range_ok,
-        decay=_decay_report(p),
+        decay=decay,
         symmetry_ok=defect <= SYMMETRY_TOL_FACTOR * tol,
         residual_ok=result.residual_sup <= tol,
     )
@@ -109,14 +116,6 @@ class SweepRow:
     converged: bool
 
 
-def _decay_report(p: Profile) -> Optional[DecayReport]:
-    """decay_amplitude(p), or None when p fails its preconditions."""
-    try:
-        return decay_amplitude(p)
-    except ValueError:
-        return None
-
-
 def solve_cell(nu: float, h: float, opts: Optional[SolveOptions] = None,
                half_length: float = DEFAULT_HALF_LENGTH,
                n_points: int = DEFAULT_N_POINTS) -> SolveResult:
@@ -130,7 +129,7 @@ def _row_for(nu: float, h: float, opts: SolveOptions,
              half_length: float, n_points: int) -> SweepRow:
     result = solve_cell(nu, h, opts, half_length, n_points)
     params = result.profile.params
-    d = _decay_report(result.profile) if result.converged else None
+    d = verify(result).decay if result.converged else None
     return SweepRow(nu=params.nu, h=params.h, energy_total=result.energy.total,
                     wall_width=wall_width(result.profile) if d else math.nan,
                     amplitude_multipole=d.amplitude_multipole if d else math.nan,
@@ -154,7 +153,8 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
 
     Cells run on at most one thread per CPU this process may use when
     `parallel` is set, on one thread otherwise; the solves are pure, so both
-    give identical rows.  A row records a cell that did not converge or
+    give identical rows.  A converged row's amplitudes are those of
+    verify(result).decay.  A row records a cell that did not converge or
     whose wall fails the decay preconditions (NaN width and amplitudes); any
     other exception of a cell propagates.
 

@@ -15,6 +15,7 @@ import numpy as np
 from .analysis import (
     DEFAULT_HALF_LENGTH,
     DEFAULT_N_POINTS,
+    SYMMETRY_TOL_FACTOR,
     solve_cell,
     sweep,
     verify,
@@ -150,7 +151,7 @@ def _cmd_verify(args) -> int:
     report = verify(result, tol=args.tol)
     checks = {
         "monotone_strict": report.monotone_strict,
-        "symmetry_defect <= 10*tol": report.symmetry_ok,
+        f"symmetry_defect <= {SYMMETRY_TOL_FACTOR:g}*tol": report.symmetry_ok,
         "range_ok": report.range_ok,
         "residual_sup <= tol": report.residual_ok,
         "decay amplitude positive": report.decay is not None

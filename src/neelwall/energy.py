@@ -242,7 +242,7 @@ def field_derivative(p: Profile) -> float:
     Raises:
         ValueError: an end sample more than 1e-9 off its plateau.
     """
-    if not p.is_pinned(tol=1e-9):
+    if not p.is_pinned():
         raise ValueError("field_derivative requires a profile pinned at the plateaus")
     grid, params, v = p.grid, p.params, p.values
     u = np.sin(v) - params.h

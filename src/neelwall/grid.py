@@ -9,6 +9,7 @@ monodomain angles pi - theta_h (left) and theta_h (right) at the boundary.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -35,8 +36,8 @@ class Grid1D:
             exactly and points[i] == -points[n_points - i] exactly
 
     Raises:
-        ValueError: non-positive or infinite half_length, odd n_points, or
-            n_points < 4.
+        ValueError: a bool, non-positive or infinite half_length, or an
+            n_points that is odd, < 4, a bool or not an integer.
     """
 
     half_length: float
@@ -45,12 +46,14 @@ class Grid1D:
     points: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.half_length) or self.half_length <= 0:
+        if (isinstance(self.half_length, bool) or not np.isfinite(self.half_length)
+                or self.half_length <= 0):
             raise ValueError(f"half_length must be positive, got {self.half_length}")
-        if self.n_points % 2 != 0:
-            raise ValueError(f"n_points must be even, got {self.n_points}")
-        if self.n_points < 4:
-            raise ValueError(f"n_points must be >= 4, got {self.n_points}")
+        # 64.0 passes the parity and size tests but is no point count; a bool
+        # is an Integral, and below 4
+        if (not isinstance(self.n_points, numbers.Integral) or self.n_points % 2 != 0
+                or self.n_points < 4):
+            raise ValueError(f"n_points must be an even integer >= 4, got {self.n_points!r}")
         n = int(self.n_points)
         spacing = 2.0 * float(self.half_length) / n
         object.__setattr__(self, "half_length", float(self.half_length))
@@ -99,10 +102,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=8)
+_shared_grids = lru_cache(maxsize=8)(lambda grid: grid)
+
+
 def make_grid(half_length: float, n_points: int) -> Grid1D:
-    """Build a symmetric uniform grid; one shared Grid1D per argument pair."""
-    return Grid1D(half_length, n_points)
+    """Build a symmetric uniform grid; one shared Grid1D per equal grid.
+
+    The grid is built, and so checked, on every call: the cache is keyed by
+    the grid, because the arguments 64 and 64.0, or 1.0 and True, hash alike.
+    """
+    return _shared_grids(Grid1D(half_length, n_points))
 
 
 @dataclass(frozen=True)
@@ -178,9 +187,11 @@ class Profile(FieldSamples):
     def with_values(self, values: np.ndarray) -> "Profile":
         return Profile(self.grid, values, self.params)
 
-    def is_pinned(self, tol: float = 0.0) -> bool:
-        return (abs(self.values[0] - self.params.left_plateau) <= tol
-                and abs(self.values[-1] - self.params.right_plateau) <= tol)
+    def is_pinned(self) -> bool:
+        """Whether both end samples lie within 1e-9 of their plateau angles:
+        the one pin rule of minimize and field_derivative."""
+        return max(abs(self.values[0] - self.params.left_plateau),
+                   abs(self.values[-1] - self.params.right_plateau)) <= 1e-9
 
 
 def second_difference(values: np.ndarray, spacing: float, out=None) -> np.ndarray:

@@ -23,6 +23,9 @@ from .minimize import SolveResult
 
 _ENERGY_PARTS = tuple(f.name for f in fields(EnergyBreakdown))
 _COLUMNS = tuple(f.name for f in fields(SweepRow))
+# the solver's diagnostics, stored after the profile and its energy
+_RESULT_SCALARS = tuple(f.name for f in fields(SolveResult)
+                        if f.name not in ("profile", "energy"))
 
 
 def _finite_or_none(x):
@@ -39,9 +42,7 @@ def result_to_dict(result: SolveResult) -> dict:
         "profile": p.values.tolist(),
         "energy": {k: _finite_or_none(getattr(result.energy, k))
                    for k in _ENERGY_PARTS},
-        "residual_sup": _finite_or_none(result.residual_sup),
-        "iterations": result.iterations,
-        "converged": result.converged,
+        **{k: _finite_or_none(getattr(result, k)) for k in _RESULT_SCALARS},
     }
 
 
@@ -121,13 +122,8 @@ def load_result(path: str) -> SolveResult:
         profile = Profile(grid, np.array(samples, dtype=float), params)
         e = doc["energy"]
         energy = EnergyBreakdown(*(_load_cell(k, e[k]) for k in _ENERGY_PARTS))
-        return SolveResult(
-            profile=profile,
-            energy=energy,
-            residual_sup=_load_cell("residual_sup", doc["residual_sup"]),
-            iterations=_load_cell("iterations", doc["iterations"]),
-            converged=_load_cell("converged", doc["converged"]),
-        )
+        return SolveResult(profile, energy,
+                           **{k: _load_cell(k, doc[k]) for k in _RESULT_SCALARS})
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path!r} holds a malformed solve result: {exc!r}") from exc
 

@@ -58,10 +58,11 @@ MAX_BACKTRACKS = 40
 CG_MAX_ITER = 50   # Hessian products per Newton direction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
     """Termination controls for the minimizer; max_iter counts Newton steps.
-    tol and max_iter are stored as a Python float and int."""
+    tol and max_iter are stored as a Python float and int.  Frozen, so no
+    assignment gets past these checks."""
 
     tol: float = 1e-6
     max_iter: int = 100
@@ -73,7 +74,8 @@ class SolveOptions:
         if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
                 or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
-        self.tol, self.max_iter = float(self.tol), int(self.max_iter)
+        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 @dataclass(frozen=True)
@@ -146,15 +148,17 @@ def _pin(v: np.ndarray, params: ModelParams) -> np.ndarray:
     return v
 
 
-def _newton_direction(g, expansion, symbol, spacing, work):
+def _newton_direction(g, expansion, symbol):
     """Truncated PCG on H p = -g for an odd gradient g of `expansion`.
 
     Stops when the residual falls below the forcing tolerance, at the
     iteration cap, or on a direction of negative curvature: then the
     current iterate is returned, or the preconditioned gradient step if
-    there is none yet.  The result is a descent direction, held in `work`,
-    the solve's `_SolveWork`.
+    there is none yet.  The grid spacing and the work arrays are the
+    expansion's (its work is the solve's `_SolveWork`); the result is a
+    descent direction, held in one of those arrays.
     """
+    spacing, work = expansion.grid.spacing, expansion.work
     p, r, d, z, hd = work.p, work.r, work.d, work.z, work.hd
     # tmp1 takes each product and preconditioned residual before projection
     tmp, raw = work.tmp0, work.tmp1
@@ -184,11 +188,13 @@ def _newton_direction(g, expansion, symbol, spacing, work):
     return p
 
 
-def _line_search(expansion, p, slope, trial):
-    """Armijo backtracking from the full step, each point formed in `trial`;
-    returns `trial` at the accepted point, None when it stalls."""
+def _line_search(expansion, p, slope):
+    """Armijo backtracking from the full step, each point formed in the
+    expansion's trial row; returns that row at the accepted point, None
+    when it stalls."""
     if slope >= 0.0:
         return None
+    trial = expansion.work.trial
     alpha = 1.0
     for _ in range(MAX_BACKTRACKS):
         np.multiply(alpha, p, out=trial)
@@ -225,7 +231,7 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
     if opts is None:
         opts = SolveOptions()
     grid, params = check_transition_fits(initial.grid), initial.params
-    if not initial.is_pinned(tol=1e-9):
+    if not initial.is_pinned():
         raise ValueError("initial profile must be pinned to the plateau angles")
 
     start = initial.with_values(clamp_values(initial.values, params))
@@ -246,9 +252,9 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
         if iterations == opts.max_iter:
             break
         g = _odd(g, work.g)
-        p = _newton_direction(g, expansion, symbol, grid.spacing, work)
+        p = _newton_direction(g, expansion, symbol)
         slope = _inner(g, p, grid.spacing, work.tmp0)
-        trial = _line_search(expansion, p, slope, work.trial)
+        trial = _line_search(expansion, p, slope)
         if trial is None:
             break
         # the accepted trial's row becomes the iterate, the old iterate's

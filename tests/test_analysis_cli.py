@@ -187,6 +187,24 @@ class TestSweep:
             assert r.residual_sup <= 1e-6
             assert r.wall_width > 0
 
+    @pytest.mark.parametrize("nus, hs, half_length, n_points", [
+        ((0.1, 1.0, 10.0), (0.0, 0.3, 0.99), 40.0, 1024),
+        ((COARSE_CELL["nu"],), (COARSE_CELL["h"],),
+         COARSE_CELL["half_length"], COARSE_CELL["n_points"]),
+    ])
+    def test_rows_take_their_tail_report_from_verify(self, nus, hs, half_length,
+                                                     n_points):
+        rows = nw.sweep(nus, hs, half_length=half_length, n_points=n_points)
+        assert len(rows) == len(nus) * len(hs)
+        for row in rows:
+            result = nw.solve_cell(row.nu, row.h, None, half_length, n_points)
+            assert row.converged and result.converged
+            d = nw.verify(result).decay
+            expected = ((d.amplitude_multipole, d.amplitude_tailfit) if d
+                        else (math.nan, math.nan))
+            np.testing.assert_array_equal(
+                (row.amplitude_multipole, row.amplitude_tailfit), expected)
+
     def test_serial_equals_parallel(self):
         kwargs = dict(half_length=20.0, n_points=512)
         t1 = nw.sweep([0.5, 1.0], [0.0, 0.2], parallel=False, **kwargs)

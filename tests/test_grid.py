@@ -22,6 +22,7 @@ class TestMakeGrid:
         # a stored wall loaded twice holds one grid, not two copies of it
         g = nw.make_grid(40, 4096)
         assert g is nw.make_grid(40.0, 4096)
+        assert g is nw.make_grid(np.float64(40.0), np.int64(4096))
         # a grid built directly equals the shared one and hashes alike
         assert nw.Grid1D(40, 4096) == g
         assert hash(nw.Grid1D(40, 4096)) == hash(g)
@@ -35,16 +36,16 @@ class TestMakeGrid:
                 array[0] = 0.0
 
     def test_rejects_odd_count(self):
-        # and fewer than 4 points, built either way
+        # and fewer than 4 points, a bool or a float count, built either way
         for build in (nw.make_grid, nw.Grid1D):
-            for n_points in (5, 2, 0, -4):
+            for n_points in (5, 2, 0, -4, True, 64.0, 4.0):
                 with pytest.raises(ValueError):
                     build(1.0, n_points)
 
     def test_rejects_nonpositive_half_length(self):
-        # and a non-finite one, built either way
+        # and a non-finite or bool one, built either way
         for build in (nw.make_grid, nw.Grid1D):
-            for half_length in (0.0, -3.0, np.inf, np.nan):
+            for half_length in (0.0, -3.0, np.inf, np.nan, True):
                 with pytest.raises(ValueError):
                     build(half_length, 16)
 
@@ -109,6 +110,15 @@ class TestReferenceProfile:
         defect = np.max(np.abs(ref.values + ref.values[::-1] - np.pi))
         assert defect <= 1e-14
         assert ref.is_pinned()
+
+    def test_pinned_within_1e_9_of_each_plateau(self):
+        ref = nw.reference_profile(nw.make_grid(6.0, 64), nw.ModelParams(1.0, 0.3))
+        for end in (0, -1):
+            for off, pinned in ((0.5e-9, True), (-0.5e-9, True),
+                                (2e-9, False), (-2e-9, False)):
+                v = ref.values.copy()
+                v[end] += off
+                assert ref.with_values(v).is_pinned() == pinned, (end, off)
 
     @pytest.mark.parametrize("half_length, n", [(3.0, 10), (5.0, 16), (10.0, 256)])
     def test_matches_adaptive_quadrature(self, half_length, n):

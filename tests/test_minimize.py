@@ -31,6 +31,15 @@ class TestSolveOptions:
             with pytest.raises(ValueError, match="max_iter must be an integer"):
                 nw.SolveOptions(max_iter=max_iter)
 
+    def test_frozen(self):
+        # an assignment would skip the checks above: max_iter = 0 would give
+        # a 0-step solve, and a numpy tol a numpy-bool `converged`
+        opts = nw.SolveOptions()
+        for name, value in (("max_iter", 0), ("tol", np.float64(1e-8))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(opts, name, value)
+        assert (opts.tol, opts.max_iter) == (nw.SolveOptions.tol, nw.SolveOptions.max_iter)
+
 
 class TestSolveResult:
     def test_holds_only_the_solve_and_is_frozen(self, baseline):
@@ -182,9 +191,9 @@ class TestMinimize:
         first_direction_exits = []
         newton_direction = minimize_module._newton_direction
 
-        def recorded(g, expansion, symbol, spacing, work):
-            direction = newton_direction(g, expansion, symbol, spacing, work)
-            first_direction_exits.append(direction is work.d)
+        def recorded(g, expansion, symbol):
+            direction = newton_direction(g, expansion, symbol)
+            first_direction_exits.append(direction is expansion.work.d)
             return direction
 
         monkeypatch.setattr(minimize_module, "_newton_direction", recorded)
