@@ -7,6 +7,7 @@ verification or unconverged quadrature, 1 on usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,7 +44,11 @@ def _add_grid_and_budget_flags(sub):
     sub.add_argument("--out", type=str, default=None)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and shared by all
+    later calls: parse_args keeps no state, and each command's `run` looks
+    up the functions it calls when it runs."""
     parser = _Parser(prog="neelwall", allow_abbrev=False,
                      description="One-dimensional Neel wall solver")
     subs = parser.add_subparsers(dest="command", required=True)

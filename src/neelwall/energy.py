@@ -88,10 +88,13 @@ class LocalExpansion:
     cos v, sin v, u = sin v - h and halfLap u are formed once and shared by
     the three quantities a Newton step evaluates at v: the gradient, the
     Hessian product and the energy change to a trial point.  They live in
-    `work`, an `ExpansionWork` that a solve passes to the expansion of every
-    iterate; the methods use its scratch rows, and return into `out` when it
-    is given.  Each result is computed in the same operation order as its
-    formula, so buffered and allocating calls agree bit for bit.
+    `work`, an `ExpansionWork` that may serve the expansions of many
+    iterates; the methods use its scratch rows, and return into `out` when
+    it is given.  Each result is computed in the same operation order as its
+    formula, so buffered and allocating calls agree bit for bit.  The solver
+    expands on the right half of the symmetric class with a subclass that
+    replaces the nonlocal step `_half_laplacian` and the weights of
+    `energy_change` (minimize.py).
     """
 
     def __init__(self, v: np.ndarray, grid: Grid1D, params: ModelParams,
@@ -102,8 +105,7 @@ class LocalExpansion:
         self.cos = np.cos(v, out=work.cos)
         self.sin = np.sin(v, out=work.sin)
         self.u = np.subtract(self.sin, params.h, out=work.u)
-        self.lam = half_laplacian_spectral_values(self.u, grid, work.lam,
-                                                  work.real, work.spectrum)
+        self.lam = self._half_laplacian(self.u, work.lam)
         # the Hessian's diagonal part, cos 2 theta as cos^2 - sin^2:
         # cos^2 - sin^2 + sin (h - (nu/2) lam)
         self.diag = np.multiply(self.cos, self.cos, out=work.diag)
@@ -112,6 +114,12 @@ class LocalExpansion:
         np.subtract(params.h, t, out=t)
         t *= self.sin
         self.diag += t
+
+    def _half_laplacian(self, values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """halfLap of samples taken like v, into out: the expansion's only
+        nonlocal step."""
+        return half_laplacian_spectral_values(values, self.grid, out, self.work.real,
+                                              self.work.spectrum)
 
     def gradient(self, out: np.ndarray | None = None) -> np.ndarray:
         """g of the module docstring at the interior nodes; zero at the ends."""
@@ -141,10 +149,8 @@ class LocalExpansion:
         spacing-weighted inner product; H phi is zero at the endpoints.
         out must not be phi.
         """
-        work = self.work
-        t = np.multiply(self.cos, phi, out=work.tmp0)
-        out = half_laplacian_spectral_values(t, self.grid, out, work.real,
-                                             work.spectrum)
+        t = np.multiply(self.cos, phi, out=self.work.tmp0)
+        out = self._half_laplacian(t, out)
         out *= self.cos
         out *= 0.5 * self.params.nu
         out += np.multiply(self.diag, phi, out=t)
@@ -163,8 +169,24 @@ class LocalExpansion:
         the certified decrease per step shrinks like the squared gradient
         norm, orders of magnitude below eps * E.
         """
-        v, grid, params, work = self.v, self.grid, self.params, self.work
-        s = grid.spacing
+        grid, work = self.grid, self.work
+        d_exchange, d_anisotropy, du = self._local_change(v_new, grid.trapezoid)
+
+        # S(u + du) - S(u) = 2 s <Pu, Lam P du> + S(du) by polarization, the
+        # cross term by Parseval as the sample sum 2 s sum_j (halfLap u)_j (P du)_j
+        pdu = detrended(du, grid, work.real)
+        pdu *= self.lam[:-1]
+        cross = 2.0 * grid.spacing * float(np.sum(pdu))
+        d_stray = 0.25 * self.params.nu * (
+            cross + spectral_quadratic_form(du, grid, work.real, work.spectrum))
+
+        return d_exchange + d_anisotropy + d_stray
+
+    def _local_change(self, v_new: np.ndarray, trapezoid: np.ndarray):
+        """(exchange change, anisotropy change, du) to v_new: the segment sum,
+        the anisotropy under the quadrature weights `trapezoid`, and
+        du = sin v_new - sin v, which is left in the work row tmp0."""
+        v, work = self.v, self.work
 
         # da (2a + da), a = diff v, da = diff v_new - a
         a = np.subtract(v[1:], v[:-1], out=work.tmp0[:-1])
@@ -173,7 +195,7 @@ class LocalExpansion:
         a *= 2.0
         a += da
         a *= da
-        d_exchange = 0.5 * float(np.sum(a)) / s
+        d_exchange = 0.5 * float(np.sum(a)) / self.grid.spacing
 
         # du = 2 cos((v_new + v)/2) sin((v_new - v)/2)
         du = np.add(v_new, v, out=work.tmp0)
@@ -185,19 +207,9 @@ class LocalExpansion:
         du *= 2.0
         du *= t
         # trapezoid du (2u + du)
-        t = np.multiply(grid.trapezoid, du, out=work.tmp1)
+        t = np.multiply(trapezoid, du, out=work.tmp1)
         t *= np.add(np.multiply(2.0, self.u, out=work.tmp2), du, out=work.tmp2)
-        d_anisotropy = 0.5 * float(np.sum(t))
-
-        # S(u + du) - S(u) = 2 s <Pu, Lam P du> + S(du) by polarization, the
-        # cross term by Parseval as the sample sum 2 s sum_j (halfLap u)_j (P du)_j
-        pdu = detrended(du, grid, work.real)
-        pdu *= self.lam[:-1]
-        cross = 2.0 * s * float(np.sum(pdu))
-        d_stray = 0.25 * params.nu * (
-            cross + spectral_quadratic_form(du, grid, work.real, work.spectrum))
-
-        return d_exchange + d_anisotropy + d_stray
+        return d_exchange, 0.5 * float(np.sum(t)), du
 
 
 def energy_delta(v: np.ndarray, v_new: np.ndarray, grid: Grid1D,

@@ -2,33 +2,52 @@
 
 The minimizer is unique up to translation and reflection, and it is
 symmetric: theta(-x) = pi - theta(x), so theta - pi/2 is odd.  The solve
-therefore works only in that class, which has no translation mode.  The
-start is the symmetric decreasing rearrangement of the clamped initial
-profile; every iterate is made exactly symmetric from its right half, with
-theta(0) = pi/2, so the wall is centered by construction.
+therefore works only in that class, which has no translation mode, and
+holds only its right half x in [0, L]: the n_points/2 + 1 samples from the
+center, pinned at theta(0) = pi/2, to the end, pinned at theta(L) =
+theta_h.  The start is the right half of the symmetric decreasing
+rearrangement of the clamped initial profile, and the returned profile is
+the last iterate mirrored, so the wall is centered by construction.
+
+On the half line the wall is a Dirichlet problem whose only nonlocal
+coupling is the stray field halfLap(sin theta - h) of the even extension.
+The even fields (u = sin theta - h, cos theta phi, a trial's du) and the
+odd ones (theta - pi/2, the gradient, the CG vectors) are held by their
+right halves, so all pointwise work runs on half-length rows; full length
+appears only at a transform, which mirrors its input into a full-length
+buffer, calls the whole-line routine and reads back the right half.  The
+whole-line sums fold onto the right half, each sample standing for itself
+and its mirror: the exchange's segment sum counts twice, the trapezoid
+weights twice with the center once, and the stray cross term runs over
+one period of the even extension with the weights 1, 2, ..., 2, 1.  Inner
+products are the whole line's, 2 s sum over the half interior, so the
+forcing tolerances and the Armijo slopes are those of the whole-line
+problem.
 
 Each outer iteration is one line-search Newton step (Nocedal & Wright,
-ch. 7) on one `energy.LocalExpansion` of the energy at the iterate, which
-supplies its gradient, Hessian products and trial energy changes.  The
-direction comes from a truncated preconditioned CG on the exact Hessian of
-the discrete energy, stopped at the forcing tolerance
-min(1/2, ||g||^(1/2)) ||g|| or at the first direction of negative curvature
-(Steihaug 1983).  Every vector is projected onto odd deviations about pi/2.
-The preconditioner is the linearized wall operator with Dirichlet ends,
-diagonal in the sine modes sin(pi m j / n) of the interior nodes:
+ch. 7) on one `_HalfLineExpansion` of the energy at the iterate, which
+supplies its gradient, Hessian products and trial energy changes with the
+pointwise formulas of `energy.LocalExpansion`.  The direction comes from a
+truncated preconditioned CG on the exact Hessian of the discrete energy,
+stopped at the forcing tolerance min(1/2, ||g||^(1/2)) ||g|| or at the
+first direction of negative curvature (Steihaug 1983).  The preconditioner
+is the linearized wall operator with Dirichlet ends, diagonal in the sine
+modes sin(pi m j / n) of the interior nodes of the whole line:
 
     (4/s^2) sin^2(k s/2) + (nu/2) cos^2(theta_h) k + cos^2(theta_h),
     k = pi m / (2 half_length).
 
 An odd residual, r[j] = -r[n - j], holds only the modes m = 2m' and is
 odd in the n-periodic sense too, so a length-n rfft applies it, mode m' at
-the periodic wavenumber pi m' / half_length.  An Armijo backtracking line search on the
-cancellation-free energy change starts at the full step, so the energy
-never increases; the accepted point is clamped to the admissible range and
-pinned.  The solve stops one Newton step after the interior gradient
-sup-norm first reaches the tolerance: that step costs a few Hessian products
-and takes the energy from about tol^2 to far below it.  Every grid-sized
-array of the loop lives in one `_SolveWork` per solve.
+the periodic wavenumber pi m' / half_length.  An Armijo backtracking line
+search on the cancellation-free energy change starts at the full step, so
+the energy never increases; the accepted point is clamped to the
+admissible range, and the step vanishes at both pinned samples.  The
+solve stops one Newton step after the interior gradient sup-norm first
+reaches the tolerance: that step costs a few Hessian products and takes
+the energy from about tol^2 to far below it.  The reported residual is
+the sup-norm of the whole-line gradient of the returned profile.  Every
+work array lives in one `_SolveWork` per solve.
 """
 
 from __future__ import annotations
@@ -48,6 +67,7 @@ from .energy import (
     energy,
     symmetrize_rearrange,
 )
+from .fractional import half_laplacian_spectral_values, spectral_quadratic_form
 from .green import linearized_symbol
 from .grid import (Grid1D, ModelParams, Profile, check_transition_fits, find_crossing,
                    mirror_left_half)
@@ -91,28 +111,90 @@ class SolveResult:
     converged: bool
 
 
-class _SolveWork(ExpansionWork):
-    """Every work array of one solve: the expansion's, the gradient g, the
-    CG vectors p, r, d, z and hd, the line-search trial and the iterate v.
+class _SolveWork:
+    """Every work array of one solve.
 
-    minimize builds one per call and hands it down, so concurrent solves
+    ROWS are the rows of one block of n_points/2 + 1 columns, the right
+    half: the half-line expansion's rows (ExpansionWork's), the gradient g,
+    the CG vectors p, r, d, z and hd, the line-search trial and the iterate
+    v.  `full` is an ExpansionWork of the whole grid: its rows tmp0 and
+    tmp1, real and spectrum are the transforms' buffers, and after the loop
+    it holds the whole-line expansion of the returned profile.  fold counts
+    the copies of each right-half sample in one period of the even
+    extension, 1, 2, ..., 2, 1, and trapezoid = spacing * fold is the folded
+    trapezoid rule.  minimize builds one per call, so concurrent solves
     share nothing and the Newton loop allocates no grid-sized array.
     """
 
     ROWS = ExpansionWork.ROWS + ("g", "p", "r", "d", "z", "hd", "trial", "v")
 
+    def __init__(self, grid: Grid1D):
+        n_half = grid.center_index + 1
+        block = np.empty((len(self.ROWS), n_half))
+        for name, row in zip(self.ROWS, block):
+            setattr(self, name, row)
+        self.full = ExpansionWork(grid.n_points)
+        self.fold = np.full(n_half, 2.0)
+        self.fold[0] = self.fold[-1] = 1.0
+        self.trapezoid = grid.spacing * self.fold
+
+
+def _extend(half: np.ndarray, row: np.ndarray, odd: bool = False) -> np.ndarray:
+    """Write the even extension about x = 0 of the right-half samples `half`,
+    or the odd one, to the full-length `row`; returns row."""
+    c = half.size - 1
+    np.copyto(row[c:], half)
+    (np.negative if odd else np.positive)(half[:0:-1], out=row[:c])
+    return row
+
+
+class _HalfLineExpansion(LocalExpansion):
+    """LocalExpansion of a symmetric iterate from the right half v of its
+    samples, on the half-length rows of a `_SolveWork`.
+
+    The gradient and Hessian products are the right halves of the whole-line
+    ones, and energy_change is the whole-line change; the pointwise
+    formulas are LocalExpansion's.  What differs is the half-Laplacian, of
+    the even extension, and the folded weights of the energy change.
+    """
+
+    def _half_laplacian(self, values, out):
+        """halfLap of the even extension of right-half samples, on the right half."""
+        full, c = self.work.full, self.grid.center_index
+        lam = half_laplacian_spectral_values(_extend(values, full.tmp0), self.grid,
+                                             full.tmp1, full.real, full.spectrum)
+        if out is None:
+            out = np.empty_like(values)
+        np.copyto(out, lam[c:])
+        return out
+
+    def energy_change(self, v_new: np.ndarray) -> float:
+        """E(v_new) - E(v) of the symmetric extensions, from right halves."""
+        grid, work = self.grid, self.work
+        d_exchange, d_anisotropy, du = self._local_change(v_new, work.trapezoid)
+
+        # the stray change of LocalExpansion.energy_change over one period;
+        # the line through the end values of an even du is the constant du[-1]
+        pdu = np.subtract(du, du[-1], out=work.tmp1)
+        pdu *= self.lam
+        pdu *= work.fold
+        cross = 2.0 * grid.spacing * float(np.sum(pdu))
+        full = work.full
+        d_stray = 0.25 * self.params.nu * (
+            cross + spectral_quadratic_form(_extend(du, full.tmp0), grid,
+                                            full.real, full.spectrum))
+
+        # each right-half segment stands for its mirror too
+        return 2.0 * d_exchange + d_anisotropy + d_stray
+
 
 def _inner(a: np.ndarray, b: np.ndarray, spacing: float, scratch: np.ndarray) -> float:
+    """The whole-line inner product of two odd vectors from their right
+    halves, which vanish at the center and the end: 2 s sum over the half
+    interior."""
     # not np.dot: threaded BLAS wakes a second thread per call on long vectors
-    return spacing * float(np.sum(np.multiply(a, b, out=scratch)))
-
-
-def _odd(phi: np.ndarray, out=None) -> np.ndarray:
-    """Projection onto deviations that are odd about the center sample;
-    out must not be phi."""
-    out = np.subtract(phi, phi[::-1], out=out)
-    out *= 0.5
-    return out
+    inner = np.multiply(a[1:-1], b[1:-1], out=scratch[1:-1])
+    return 2.0 * spacing * float(np.sum(inner))
 
 
 def _dirichlet_symbol(grid: Grid1D, params: ModelParams) -> np.ndarray:
@@ -142,6 +224,17 @@ def _precondition(r: np.ndarray, symbol: np.ndarray, out=None,
     return out
 
 
+def _precondition_odd(r: np.ndarray, symbol: np.ndarray, work: _SolveWork,
+                      out: np.ndarray) -> np.ndarray:
+    """`_precondition` of the odd extension of the right-half residual r,
+    read back on the right half into out; zero at the center and the end."""
+    full = work.full
+    _precondition(_extend(r, full.tmp0, odd=True), symbol, full.tmp1, full.spectrum)
+    np.copyto(out, full.tmp1[r.size - 1:])
+    out[0] = 0.0
+    return out
+
+
 def _pin(v: np.ndarray, params: ModelParams) -> np.ndarray:
     v[0] = params.left_plateau
     v[-1] = params.right_plateau
@@ -149,28 +242,27 @@ def _pin(v: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def _newton_direction(g, expansion, symbol):
-    """Truncated PCG on H p = -g for an odd gradient g of `expansion`.
+    """Truncated PCG on H p = -g for the right half g of the odd gradient
+    of `expansion`.
 
     Stops when the residual falls below the forcing tolerance, at the
     iteration cap, or on a direction of negative curvature: then the
     current iterate is returned, or the preconditioned gradient step if
     there is none yet.  The grid spacing and the work arrays are the
-    expansion's (its work is the solve's `_SolveWork`); the result is a
-    descent direction, held in one of those arrays.
+    expansion's (its work is the solve's `_SolveWork`); the result is the
+    right half of an odd descent direction, held in one of those arrays.
     """
     spacing, work = expansion.grid.spacing, expansion.work
-    p, r, d, z, hd = work.p, work.r, work.d, work.z, work.hd
-    # tmp1 takes each product and preconditioned residual before projection
-    tmp, raw = work.tmp0, work.tmp1
+    p, r, d, z, hd, tmp = work.p, work.r, work.d, work.z, work.hd, work.tmp0
     g_norm = math.sqrt(_inner(g, g, spacing, tmp))
     target = min(0.5, math.sqrt(g_norm)) * g_norm
     p.fill(0.0)
     np.copyto(r, g)   # residual H p + g
-    _odd(_precondition(r, symbol, raw, work.spectrum), z)
+    _precondition_odd(r, symbol, work, z)
     np.negative(z, out=d)
     rz = _inner(r, z, spacing, tmp)
     for j in range(CG_MAX_ITER):
-        _odd(expansion.hessian_product(d, raw), hd)
+        expansion.hessian_product(d, hd)
         curvature = _inner(d, hd, spacing, tmp)
         if curvature <= 0.0:
             return d if j == 0 else p
@@ -180,7 +272,7 @@ def _newton_direction(g, expansion, symbol):
         r += hd
         if math.sqrt(_inner(r, r, spacing, tmp)) <= target:
             break
-        _odd(_precondition(r, symbol, raw, work.spectrum), z)
+        _precondition_odd(r, symbol, work, z)
         rz_next = _inner(r, z, spacing, tmp)
         d *= rz_next / rz
         d -= z
@@ -235,15 +327,17 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
         raise ValueError("initial profile must be pinned to the plateau angles")
 
     start = initial.with_values(clamp_values(initial.values, params))
-    work = _SolveWork(grid.n_points)
-    np.copyto(work.v, symmetrize_rearrange(start).values)
-    _pin(work.v, params)
+    c = grid.center_index
+    work = _SolveWork(grid)
+    # the rearrangement's center sample is pi/2
+    np.copyto(work.v, symmetrize_rearrange(start).values[c:])
+    work.v[-1] = params.right_plateau
     symbol = _dirichlet_symbol(grid, params)
     iterations = 0
     polishing = False
     while True:
-        expansion = LocalExpansion(work.v, grid, params, work)
-        g = expansion.gradient(work.tmp1)
+        expansion = _HalfLineExpansion(work.v, grid, params, work)
+        g = expansion.gradient(work.g)
         residual = float(np.max(np.abs(g, out=work.tmp0)))
         if residual <= opts.tol:
             if polishing:
@@ -251,18 +345,22 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
             polishing = True
         if iterations == opts.max_iter:
             break
-        g = _odd(g, work.g)
         p = _newton_direction(g, expansion, symbol)
         slope = _inner(g, p, grid.spacing, work.tmp0)
         trial = _line_search(expansion, p, slope)
         if trial is None:
             break
         # the accepted trial's row becomes the iterate, the old iterate's
-        # row takes the next step's trials (p is zero at the ends: the pin holds)
-        work.v, work.trial = mirror_left_half(clamp_values(trial, params, trial)), work.v
+        # row takes the next step's trials (p is zero at both ends: the pins hold)
+        work.v, work.trial = clamp_values(trial, params, trial), work.v
         iterations += 1
 
-    profile = Profile(grid, work.v, params)
+    full = work.full
+    full.tmp2[c:] = work.v
+    profile = Profile(grid, mirror_left_half(full.tmp2), params)
+    # the whole-line gradient of the profile, as energy_gradient forms it
+    g = LocalExpansion(profile.values, grid, params, full).gradient(full.tmp1)
+    residual = float(np.max(np.abs(g, out=full.tmp0)))
     return SolveResult(
         profile=profile,
         energy=energy(profile),

@@ -23,6 +23,11 @@ def make_random_admissible(grid, params, rng, modes=12, amp=0.6):
     return nw.Profile(grid, ref.values + field, params)
 
 
+def odd_part(x):
+    """The part of x that is odd about the center sample, 0.5 (x - x[::-1])."""
+    return 0.5 * (x - x[::-1])
+
+
 @pytest.fixture(scope="session")
 def baseline():
     """Converged production-scale wall for nu=1, h=0 (the acceptance anchor)."""

@@ -519,6 +519,28 @@ class TestEmitLoad:
 
 
 class TestCli:
+    def test_one_parser_each_call_parses_its_own_argv(self, monkeypatch, tmp_path):
+        # main shares one parser between calls: no flag of one call's argv
+        # reaches the next, and the commands still call the patched functions
+        assert build_parser() is build_parser()
+        cli = sys.modules["neelwall.cli"]
+        solves, verifies = [], []
+        solve_cell, verify = cli.solve_cell, cli.verify
+        monkeypatch.setattr(cli, "solve_cell",
+                            lambda *args: solves.append(args) or solve_cell(*args))
+        monkeypatch.setattr(cli, "verify",
+                            lambda result, tol: verifies.append(tol) or verify(result, tol=tol))
+        out = tmp_path / "wall.json"
+        assert main(["solve", "--nu", "1", "--tol", "1e-7", "--half-length", "20",
+                     "--points", "512", "--out", str(out)]) == 0
+        assert main(["verify", "--in", str(out)]) == 0
+        assert main(["solve", "--nu", "2", "--h", "0.3", "--half-length", "20",
+                     "--points", "512"]) == 0
+        default = nw.SolveOptions.tol
+        assert [(nu, h, opts.tol) for nu, h, opts, *_ in solves] == [
+            (1.0, 0.0, 1e-7), (2.0, 0.3, default)]
+        assert verifies == [1e-7, default, default]
+
     def test_solve_and_verify(self, tmp_path, capsys):
         out = tmp_path / "solve.json"
         code = main(["solve", "--nu", "1", "--h", "0",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import neelwall as nw
 from neelwall.energy import (
+    ExpansionWork,
     LocalExpansion,
     _folded_segments,
     _layer_widths,
@@ -18,8 +19,7 @@ from neelwall.fractional import (
     half_laplacian_spectral_values,
 )
 from neelwall.grid import fold, mirror_left_half, symmetry_defect
-from neelwall.minimize import _odd, _SolveWork
-from conftest import make_random_admissible
+from conftest import make_random_admissible, odd_part
 
 # frozen after the first validated run; the stray part was cross-checked
 # against the double-integral seminorm (0.9% truncation gap) and exchange
@@ -242,14 +242,14 @@ class TestSolveWorkArrays:
         rng = np.random.default_rng(9)
         v = clamp_values(make_random_admissible(g, params, rng).values, params)
         other = clamp_values(make_random_admissible(g, params, rng).values, params)
-        phi = _odd(rng.normal(size=g.n_samples))
+        phi = odd_part(rng.normal(size=g.n_samples))
         phi[0] = phi[-1] = 0.0
         v_new = v + 1e-3 * phi
 
         # NaN in every work array, then an expansion at another iterate, so
         # that a value read before it is written shows
-        work = _SolveWork(g.n_points)
-        for name in _SolveWork.ROWS:
+        work = ExpansionWork(g.n_points)
+        for name in ExpansionWork.ROWS:
             getattr(work, name).fill(np.nan)
         work.real.fill(np.nan)
         work.spectrum.fill(np.nan)

@@ -6,8 +6,11 @@ import pytest
 import scipy.fft
 
 import neelwall as nw
-from conftest import make_random_admissible
-from neelwall.minimize import _dirichlet_symbol, _odd, _precondition, find_crossing
+from conftest import make_random_admissible, odd_part
+from neelwall.energy import ExpansionWork, LocalExpansion, clamp_values
+from neelwall.grid import mirror_left_half
+from neelwall.minimize import (_dirichlet_symbol, _HalfLineExpansion, _inner,
+                               _precondition, _precondition_odd, _SolveWork, find_crossing)
 
 # the package attribute neelwall.minimize is the function, not the module
 minimize_module = sys.modules["neelwall.minimize"]
@@ -60,9 +63,15 @@ class TestMinimize:
         assert np.all(v[1:-1] < np.pi - params.theta_h)
         assert v[baseline.profile.grid.center_index] == np.pi / 2
 
-    def test_residual_matches_el_equation(self, baseline):
-        resid = nw.energy_gradient(baseline.profile)
-        assert np.max(np.abs(resid.values)) == baseline.residual_sup
+    @pytest.mark.parametrize("cell", [None, (0.1, 0.99), (10.0, 0.0), (2.0, 0.3)],
+                             ids=["baseline", "0.1-0.99", "10.0-0.0", "2.0-0.3"])
+    def test_residual_matches_el_equation(self, baseline, cell):
+        # the solve iterates on the right half; residual_sup is the
+        # whole-line gradient's, and converged is read from it
+        result = baseline if cell is None else nw.solve_cell(*cell, None, 20.0, 1024)
+        resid = nw.energy_gradient(result.profile)
+        assert np.max(np.abs(resid.values)) == result.residual_sup
+        assert result.converged == (result.residual_sup <= nw.SolveOptions.tol)
 
     def test_monotone_energy_descent(self):
         # the iterates of a solve capped at k steps are the first k of the
@@ -154,7 +163,7 @@ class TestMinimize:
     def test_line_search_stall_reported_not_raised(self, monkeypatch):
         grid = nw.make_grid(20.0, 512)
         params = nw.ModelParams(1.0, 0.0)
-        monkeypatch.setattr(minimize_module.LocalExpansion, "energy_change",
+        monkeypatch.setattr(minimize_module._HalfLineExpansion, "energy_change",
                             lambda *args: np.inf)
         result = nw.minimize(nw.reference_profile(grid, params))
         assert not result.converged
@@ -165,7 +174,7 @@ class TestMinimize:
         # _line_search's guard: a direction of non-negative slope ends the
         # solve without evaluating a trial point
         newton_direction = minimize_module._newton_direction
-        energy_change = minimize_module.LocalExpansion.energy_change
+        energy_change = minimize_module._HalfLineExpansion.energy_change
         trials = []
 
         def counted(self, trial):
@@ -174,7 +183,7 @@ class TestMinimize:
 
         monkeypatch.setattr(minimize_module, "_newton_direction",
                             lambda *args: -newton_direction(*args))
-        monkeypatch.setattr(minimize_module.LocalExpansion, "energy_change", counted)
+        monkeypatch.setattr(minimize_module._HalfLineExpansion, "energy_change", counted)
         grid = nw.make_grid(20.0, 512)
         result = nw.minimize(nw.reference_profile(grid, nw.ModelParams(1.0, 0.0)))
         assert not result.converged
@@ -209,12 +218,12 @@ class TestMinimize:
     def test_one_expansion_per_newton_step(self, monkeypatch, max_iter):
         built = []
 
-        class Counted(minimize_module.LocalExpansion):
+        class Counted(minimize_module._HalfLineExpansion):
             def __init__(self, *args):
                 super().__init__(*args)
                 built.append(self)
 
-        monkeypatch.setattr(minimize_module, "LocalExpansion", Counted)
+        monkeypatch.setattr(minimize_module, "_HalfLineExpansion", Counted)
         grid = nw.make_grid(20.0, 512)
         params = nw.ModelParams(1.0, 0.0)
         result = nw.minimize(nw.reference_profile(grid, params),
@@ -274,6 +283,116 @@ class TestMinimize:
         assert result.energy.total < 1e-2
 
 
+# (L, N) x (nu, h) cells on which the half-line expansion is compared with
+# the whole-line LocalExpansion
+HALF_LINE_CELLS = [(half_length, n_points, nu, h)
+                   for half_length, n_points in ((20.0, 512), (40.0, 4096), (80.0, 8192))
+                   for nu, h in ((1.0, 0.0), (0.1, 0.5), (10.0, 0.3), (2.0, 0.99))]
+
+
+class TestHalfLineExpansion:
+    """The solve's half-line expansion gives the right halves of the
+    whole-line gradient, Hessian products and preconditioner, and the
+    whole-line energy change, on symmetric profiles."""
+
+    @staticmethod
+    def _symmetric_case(half_length, n_points, nu, h):
+        grid = nw.make_grid(half_length, n_points)
+        params = nw.ModelParams(nu, h)
+        x = grid.points
+        v = nw.reference_profile(grid, params).values + 0.05 * np.sin(x) * np.exp(-x * x / 20.0)
+        v = mirror_left_half(clamp_values(v, params))
+        v[0], v[-1] = params.left_plateau, params.right_plateau
+        c = grid.center_index
+        whole = LocalExpansion(v, grid, params)
+        half = _HalfLineExpansion(v[c:].copy(), grid, params, _SolveWork(grid))
+        return grid, params, v, whole, half
+
+    @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
+    def test_gradient_is_the_right_half(self, half_length, n_points, nu, h):
+        grid, _, _, whole, half = self._symmetric_case(half_length, n_points, nu, h)
+        want = whole.gradient()[grid.center_index:]
+        got = half.gradient()
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
+    def test_hessian_product_is_the_right_half(self, half_length, n_points, nu, h):
+        grid, _, _, whole, half = self._symmetric_case(half_length, n_points, nu, h)
+        rng = np.random.default_rng(17)
+        c = grid.center_index
+        for _ in range(3):
+            # odd and zero at the ends.  A rough phi: on a smooth one the whole
+            # line's own rounding, cos(pi - theta) against -cos(theta), shows
+            # at 1e-13 once halfLap multiplies it by up to pi/s
+            phi = odd_part(rng.normal(size=grid.n_samples))
+            phi[0] = phi[-1] = 0.0
+            want = whole.hessian_product(phi)[c:]
+            got = half.hessian_product(phi[c:].copy())
+            assert got[0] == 0.0 and got[-1] == 0.0
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
+    def test_preconditioner_of_the_odd_extension(self, half_length, n_points, nu, h):
+        grid, params, _, _, half = self._symmetric_case(half_length, n_points, nu, h)
+        symbol = _dirichlet_symbol(grid, params)
+        rng = np.random.default_rng(19)
+        c = grid.center_index
+        r = odd_part(rng.normal(size=grid.n_samples))
+        r[0] = r[-1] = 0.0
+        want = odd_part(_precondition(r, symbol))[c:]
+        got = _precondition_odd(r[c:].copy(), symbol, half.work, np.empty(c + 1))
+        assert got[0] == 0.0 and got[-1] == 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_reused_work_matches_fresh_bit_for_bit(self):
+        # NaN in every work array, then an expansion at another iterate, so
+        # that a value read before it is written shows
+        grid, params, v, _, fresh = self._symmetric_case(20.0, 512, 2.0, 0.3)
+        c = grid.center_index
+        work = _SolveWork(grid)
+        for row in ([getattr(work, name) for name in _SolveWork.ROWS]
+                    + [getattr(work.full, name) for name in ExpansionWork.ROWS]
+                    + [work.full.real, work.full.spectrum]):
+            row.fill(np.nan)
+        _HalfLineExpansion(nw.reference_profile(grid, params).values[c:].copy(), grid,
+                           params, work)
+        reused = _HalfLineExpansion(v[c:].copy(), grid, params, work)
+        phi = np.sin(np.pi * grid.points[c:] / grid.half_length)
+        phi[-1] = 0.0
+        symbol = _dirichlet_symbol(grid, params)
+        assert np.array_equal(reused.gradient(work.g), fresh.gradient())
+        assert np.array_equal(reused.hessian_product(phi, work.hd), fresh.hessian_product(phi))
+        assert reused.energy_change(v[c:] + 1e-3 * phi) == fresh.energy_change(v[c:] + 1e-3 * phi)
+        assert np.array_equal(_precondition_odd(phi, symbol, work, work.z),
+                              _precondition_odd(phi, symbol, fresh.work, np.empty(c + 1)))
+
+    @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
+    def test_energy_change_is_the_whole_line_change(self, half_length, n_points, nu, h):
+        grid, params, v, whole, half = self._symmetric_case(half_length, n_points, nu, h)
+        total = nw.energy(nw.Profile(grid, v, params)).total
+        descent = -odd_part(whole.gradient())
+        # the ends move too, so that the folded end weights and the
+        # detrending line of the stray term count
+        descent[-1] = -0.1 * np.max(np.abs(descent))
+        c = grid.center_index
+        for t in 10.0 ** -np.arange(1, 15):
+            v_new = mirror_left_half(v + t * descent)
+            want = whole.energy_change(v_new)
+            assert half.energy_change(v_new[c:].copy()) == pytest.approx(
+                want, rel=0.0, abs=1e-12 * total)
+
+    def test_inner_is_the_whole_line_product(self):
+        grid = nw.make_grid(20.0, 512)
+        c = grid.center_index
+        rng = np.random.default_rng(23)
+        a, b = (odd_part(rng.normal(size=grid.n_samples)) for _ in range(2))
+        a[0] = a[-1] = b[0] = b[-1] = 0.0
+        want = grid.spacing * float(np.sum(a * b))
+        assert _inner(a[c:], b[c:], grid.spacing, np.empty(c + 1)) == pytest.approx(
+            want, rel=1e-14)
+
+
 class TestPrecondition:
     # the solve preconditions only odd residuals, r[j] = -r[n - j]: their
     # sine coefficients vanish at odd m, and mode m = 2m' has symbol[m']
@@ -284,7 +403,7 @@ class TestPrecondition:
         params = nw.ModelParams(nu, h)
         symbol = _dirichlet_symbol(grid, params)
         rng = np.random.default_rng(3)
-        r = _odd(rng.normal(size=grid.n_samples))
+        r = odd_part(rng.normal(size=grid.n_samples))
         r[0] = r[-1] = 0.0
         coeffs = scipy.fft.dst(r[1:-1], type=1)   # entry i is mode m = i + 1
         assert np.max(np.abs(coeffs[0::2])) <= 1e-14 * np.max(np.abs(coeffs))
@@ -300,11 +419,10 @@ class TestPrecondition:
         symbol = _dirichlet_symbol(grid, nw.ModelParams(2.0, 0.5))
         rng = np.random.default_rng(5)
         x = rng.normal(size=grid.n_samples)
-        r = _odd(x)
+        r = odd_part(x)
         r[0] = r[-1] = 0.0
         out = np.full(grid.n_samples, np.nan)
         spectrum = np.full(grid.n_points // 2 + 1, np.nan, dtype=complex)
-        assert np.array_equal(_odd(x, out), _odd(x))
         assert np.array_equal(_precondition(r, symbol, out, spectrum),
                               _precondition(r, symbol))
 
