@@ -46,11 +46,16 @@ def half_laplacian_spectral_values(values: np.ndarray, grid: Grid1D, out=None,
         raise ValueError("field length does not match grid")
     if out is None:
         out = np.empty(grid.n_samples)
-    spectrum = np.fft.rfft(detrended(values, grid, real), out=spectrum)
-    spectrum *= grid.wavenumbers
-    np.fft.irfft(spectrum, n=grid.n_points, out=out[:-1])
+    periodic_half_laplacian(detrended(values, grid, real), grid, out[:-1], spectrum)
     out[-1] = out[0]
     return out
+
+
+def periodic_half_laplacian(period: np.ndarray, grid: Grid1D, out=None, spectrum=None):
+    """halfLap of one period (n_points samples) of a periodic field, into out."""
+    spectrum = np.fft.rfft(period, out=spectrum)
+    spectrum *= grid.wavenumbers
+    return np.fft.irfft(spectrum, n=grid.n_points, out=out)
 
 
 def spectral_quadratic_form(u: np.ndarray, grid: Grid1D, real=None,
@@ -60,8 +65,13 @@ def spectral_quadratic_form(u: np.ndarray, grid: Grid1D, real=None,
     real and spectrum are optional work arrays, as in
     `half_laplacian_spectral_values`.
     """
-    uhat = np.fft.rfft(detrended(u, grid, real), out=spectrum)
-    power = np.abs(uhat, out=None if real is None else real[:uhat.size])
+    return periodic_quadratic_form(detrended(u, grid, real), grid, spectrum)
+
+
+def periodic_quadratic_form(period: np.ndarray, grid: Grid1D, spectrum=None) -> float:
+    """s * <p, halfLap p> for one period p (n_points samples); overwrites p."""
+    uhat = np.fft.rfft(period, out=spectrum)
+    power = np.abs(uhat, out=period[:uhat.size])
     np.square(power, out=power)
     power *= grid.weighted_wavenumbers
     return float(grid.spacing / grid.n_points * np.sum(power))

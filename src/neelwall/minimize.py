@@ -13,16 +13,15 @@ On the half line the wall is a Dirichlet problem whose only nonlocal
 coupling is the stray field halfLap(sin theta - h) of the even extension.
 The even fields (u = sin theta - h, cos theta phi, a trial's du) and the
 odd ones (theta - pi/2, the gradient, the CG vectors) are held by their
-right halves, so all pointwise work runs on half-length rows; full length
-appears only at a transform, which mirrors its input into a full-length
-buffer, calls the whole-line routine and reads back the right half.  The
-whole-line sums fold onto the right half, each sample standing for itself
-and its mirror: the exchange's segment sum counts twice, the trapezoid
-weights twice with the center once, and the stray cross term runs over
-one period of the even extension with the weights 1, 2, ..., 2, 1.  Inner
-products are the whole line's, 2 s sum over the half interior, so the
-forcing tolerances and the Armijo slopes are those of the whole-line
-problem.
+right halves, so all pointwise work runs on half-length rows.  A transform
+fills its full-length input straight from a right half (an even field less
+its end value, the detrended period of its even extension; an odd one
+mirrored with its sign) and reads back the right half.  The whole-line
+sums fold onto the right half: the exchange's segment sum counts twice,
+the trapezoid weights twice with the center once, and the stray cross term
+runs over one period of the even extension with the weights 1, 2, ..., 2,
+1.  Inner products are the whole line's, 2 s sum over the half interior,
+so the forcing tolerances and the Armijo slopes are the whole line's.
 
 Each outer iteration is one line-search Newton step (Nocedal & Wright,
 ch. 7) on one `_HalfLineExpansion` of the energy at the iterate, which
@@ -42,12 +41,13 @@ odd in the n-periodic sense too, so a length-n rfft applies it, mode m' at
 the periodic wavenumber pi m' / half_length.  An Armijo backtracking line
 search on the cancellation-free energy change starts at the full step, so
 the energy never increases; the accepted point is clamped to the
-admissible range, and the step vanishes at both pinned samples.  The
-solve stops one Newton step after the interior gradient sup-norm first
-reaches the tolerance: that step costs a few Hessian products and takes
-the energy from about tol^2 to far below it.  The reported residual is
-the sup-norm of the whole-line gradient of the returned profile.  Every
-work array lives in one `_SolveWork` per solve.
+admissible range, and the step vanishes at both pinned samples.  Once the
+interior gradient sup-norm reaches the tolerance the solve takes one more
+Newton step, which costs a few Hessian products and takes the energy from
+about tol^2 to far below it.  That iterate, or the last one when the step
+budget runs out or the line search stalls, is expanded once on the whole
+line: the sup-norm of that gradient is the reported residual and decides
+the stop.  Every work array lives in one `_SolveWork` per solve.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from .energy import (
     energy,
     symmetrize_rearrange,
 )
-from .fractional import half_laplacian_spectral_values, spectral_quadratic_form
+from .fractional import periodic_half_laplacian, periodic_quadratic_form
 from .green import linearized_symbol
 from .grid import (Grid1D, ModelParams, Profile, check_transition_fits, find_crossing,
                    mirror_left_half)
@@ -117,13 +117,13 @@ class _SolveWork:
     ROWS are the rows of one block of n_points/2 + 1 columns, the right
     half: the half-line expansion's rows (ExpansionWork's), the gradient g,
     the CG vectors p, r, d, z and hd, the line-search trial and the iterate
-    v.  `full` is an ExpansionWork of the whole grid: its rows tmp0 and
-    tmp1, real and spectrum are the transforms' buffers, and after the loop
-    it holds the whole-line expansion of the returned profile.  fold counts
-    the copies of each right-half sample in one period of the even
-    extension, 1, 2, ..., 2, 1, and trapezoid = spacing * fold is the folded
-    trapezoid rule.  minimize builds one per call, so concurrent solves
-    share nothing and the Newton loop allocates no grid-sized array.
+    v.  `full` is an ExpansionWork of the whole grid: a transform fills its
+    real (or tmp0) from a right half, into spectrum and tmp1, and its tmp2
+    holds the mirrored iterate whose whole-line expansion judges the stop.
+    fold counts the copies of each right-half sample in one period of the
+    even extension, 1, 2, ..., 2, 1, and trapezoid = spacing * fold is the
+    folded trapezoid rule.  minimize builds one per call, so concurrent
+    solves share nothing and the Newton loop allocates no grid-sized array.
     """
 
     ROWS = ExpansionWork.ROWS + ("g", "p", "r", "d", "z", "hd", "trial", "v")
@@ -139,13 +139,13 @@ class _SolveWork:
         self.trapezoid = grid.spacing * self.fold
 
 
-def _extend(half: np.ndarray, row: np.ndarray, odd: bool = False) -> np.ndarray:
-    """Write the even extension about x = 0 of the right-half samples `half`,
-    or the odd one, to the full-length `row`; returns row."""
+def _even_period(half: np.ndarray, period: np.ndarray) -> np.ndarray:
+    """`fractional.detrended` of the even extension of `half`, into period:
+    the extension's end values are equal, so its line is the constant half[-1]."""
     c = half.size - 1
-    np.copyto(row[c:], half)
-    (np.negative if odd else np.positive)(half[:0:-1], out=row[:c])
-    return row
+    np.subtract(half[:-1], half[-1], out=period[c:])
+    np.subtract(half[:0:-1], half[-1], out=period[:c])
+    return period
 
 
 class _HalfLineExpansion(LocalExpansion):
@@ -161,11 +161,12 @@ class _HalfLineExpansion(LocalExpansion):
     def _half_laplacian(self, values, out):
         """halfLap of the even extension of right-half samples, on the right half."""
         full, c = self.work.full, self.grid.center_index
-        lam = half_laplacian_spectral_values(_extend(values, full.tmp0), self.grid,
-                                             full.tmp1, full.real, full.spectrum)
+        lam = periodic_half_laplacian(_even_period(values, full.real), self.grid,
+                                      full.tmp1[:-1], full.spectrum)
         if out is None:
             out = np.empty_like(values)
-        np.copyto(out, lam[c:])
+        np.copyto(out[:-1], lam[c:])
+        out[-1] = lam[0]
         return out
 
     def energy_change(self, v_new: np.ndarray) -> float:
@@ -179,10 +180,8 @@ class _HalfLineExpansion(LocalExpansion):
         pdu *= self.lam
         pdu *= work.fold
         cross = 2.0 * grid.spacing * float(np.sum(pdu))
-        full = work.full
-        d_stray = 0.25 * self.params.nu * (
-            cross + spectral_quadratic_form(_extend(du, full.tmp0), grid,
-                                            full.real, full.spectrum))
+        d_stray = 0.25 * self.params.nu * (cross + periodic_quadratic_form(
+            _even_period(du, work.full.real), grid, work.full.spectrum))
 
         # each right-half segment stands for its mirror too
         return 2.0 * d_exchange + d_anisotropy + d_stray
@@ -228,17 +227,14 @@ def _precondition_odd(r: np.ndarray, symbol: np.ndarray, work: _SolveWork,
                       out: np.ndarray) -> np.ndarray:
     """`_precondition` of the odd extension of the right-half residual r,
     read back on the right half into out; zero at the center and the end."""
-    full = work.full
-    _precondition(_extend(r, full.tmp0, odd=True), symbol, full.tmp1, full.spectrum)
-    np.copyto(out, full.tmp1[r.size - 1:])
+    full, c = work.full, r.size - 1
+    # _precondition reads the first n_points samples only
+    np.copyto(full.tmp0[c:-1], r[:-1])
+    np.negative(r[:0:-1], out=full.tmp0[:c])
+    _precondition(full.tmp0, symbol, full.tmp1, full.spectrum)
+    np.copyto(out, full.tmp1[c:])
     out[0] = 0.0
     return out
-
-
-def _pin(v: np.ndarray, params: ModelParams) -> np.ndarray:
-    v[0] = params.left_plateau
-    v[-1] = params.right_plateau
-    return v
 
 
 def _newton_direction(g, expansion, symbol):
@@ -308,7 +304,8 @@ def recenter(p: Profile) -> Profile:
     x_star = find_crossing(p.grid.points, p.values, np.pi / 2)
     new_values = np.interp(p.grid.points + x_star, p.grid.points, p.values)
     new_values[p.grid.center_index] = np.pi / 2
-    return p.with_values(_pin(new_values, p.params))
+    new_values[0], new_values[-1] = p.params.left_plateau, p.params.right_plateau
+    return p.with_values(new_values)
 
 
 def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResult:
@@ -333,34 +330,30 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
     np.copyto(work.v, symmetrize_rearrange(start).values[c:])
     work.v[-1] = params.right_plateau
     symbol = _dirichlet_symbol(grid, params)
-    iterations = 0
-    polishing = False
+    full = work.full
+    iterations, polishing, stalled = 0, False, False
     while True:
+        last = stalled or iterations == opts.max_iter
+        if polishing or last:
+            # judged on the whole-line gradient of the mirrored iterate (energy_gradient's)
+            full.tmp2[c:] = work.v
+            whole = LocalExpansion(mirror_left_half(full.tmp2), grid, params, full)
+            residual = float(np.max(np.abs(whole.gradient(full.tmp1), out=full.tmp0)))
+            if last or residual <= opts.tol:
+                break
         expansion = _HalfLineExpansion(work.v, grid, params, work)
         g = expansion.gradient(work.g)
-        residual = float(np.max(np.abs(g, out=work.tmp0)))
-        if residual <= opts.tol:
-            if polishing:
-                break
-            polishing = True
-        if iterations == opts.max_iter:
-            break
+        polishing = polishing or float(np.max(np.abs(g, out=work.tmp0))) <= opts.tol
         p = _newton_direction(g, expansion, symbol)
-        slope = _inner(g, p, grid.spacing, work.tmp0)
-        trial = _line_search(expansion, p, slope)
-        if trial is None:
-            break
-        # the accepted trial's row becomes the iterate, the old iterate's
-        # row takes the next step's trials (p is zero at both ends: the pins hold)
-        work.v, work.trial = clamp_values(trial, params, trial), work.v
-        iterations += 1
+        trial = _line_search(expansion, p, _inner(g, p, grid.spacing, work.tmp0))
+        stalled = trial is None
+        if not stalled:
+            # the accepted trial's row becomes the iterate, the old iterate's
+            # row takes the next step's trials (p is zero at both ends: the pins hold)
+            work.v, work.trial = clamp_values(trial, params, trial), work.v
+            iterations += 1
 
-    full = work.full
-    full.tmp2[c:] = work.v
-    profile = Profile(grid, mirror_left_half(full.tmp2), params)
-    # the whole-line gradient of the profile, as energy_gradient forms it
-    g = LocalExpansion(profile.values, grid, params, full).gradient(full.tmp1)
-    residual = float(np.max(np.abs(g, out=full.tmp0)))
+    profile = Profile(grid, full.tmp2, params)
     return SolveResult(
         profile=profile,
         energy=energy(profile),

@@ -8,8 +8,9 @@ import scipy.fft
 import neelwall as nw
 from conftest import make_random_admissible, odd_part
 from neelwall.energy import ExpansionWork, LocalExpansion, clamp_values
+from neelwall.fractional import detrended, half_laplacian_spectral_values
 from neelwall.grid import mirror_left_half
-from neelwall.minimize import (_dirichlet_symbol, _HalfLineExpansion, _inner,
+from neelwall.minimize import (_dirichlet_symbol, _even_period, _HalfLineExpansion, _inner,
                                _precondition, _precondition_odd, _SolveWork, find_crossing)
 
 # the package attribute neelwall.minimize is the function, not the module
@@ -93,6 +94,8 @@ class TestMinimize:
     @pytest.mark.parametrize("nu, h, half_length, n_points, iterations, total", [
         (1.0, 0.0, 10.0, 256, 7, 2.2048205673805703),
         (10.0, 0.99, 20.0, 512, 5, 0.002103098749145583),
+        (1.0, 0.0, 40.0, 4096, 7, 2.2126360068138613),
+        (2.0, 0.3, 80.0, 8192, 7, 1.3556534100740112),
     ])
     def test_golden_iterations_and_energy(self, nu, h, half_length, n_points,
                                           iterations, total):
@@ -229,7 +232,29 @@ class TestMinimize:
         result = nw.minimize(nw.reference_profile(grid, params),
                              nw.SolveOptions(max_iter=max_iter))
         assert result.converged == (max_iter == 100)
-        assert len(built) == result.iterations + 1
+        # the iterate that ends the solve is expanded on the whole line only
+        assert len(built) == result.iterations
+
+    @pytest.mark.parametrize("stop", ["converged", "max_iter", "stall"])
+    def test_one_whole_line_expansion_per_solve(self, monkeypatch, stop):
+        built = []
+
+        class Counted(LocalExpansion):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(minimize_module, "LocalExpansion", Counted)
+        if stop == "stall":
+            monkeypatch.setattr(minimize_module._HalfLineExpansion, "energy_change",
+                                lambda *args: np.inf)
+        grid = nw.make_grid(20.0, 512)
+        result = nw.minimize(nw.reference_profile(grid, nw.ModelParams(1.0, 0.0)),
+                             nw.SolveOptions(max_iter=3 if stop == "max_iter" else 100))
+        assert result.converged == (stop == "converged")
+        assert result.iterations == {"converged": 7, "max_iter": 3, "stall": 0}[stop]
+        assert len(built) == 1
+        assert np.max(np.abs(built[0].gradient())) == result.residual_sup
 
     def test_rough_start_converges_through_rearrangement(self):
         # from this start the Newton iterates stall (100 steps, E about 6.00,
@@ -344,6 +369,38 @@ class TestHalfLineExpansion:
         got = _precondition_odd(r[c:].copy(), symbol, half.work, np.empty(c + 1))
         assert got[0] == 0.0 and got[-1] == 0.0
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    # the transforms stage their input from the right half; these pin the
+    # staging to the whole-line routines bit for bit, not to a tolerance
+
+    @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
+    def test_even_period_is_the_detrended_extension(self, half_length, n_points, nu, h):
+        grid = nw.make_grid(half_length, n_points)
+        half = np.random.default_rng(29).normal(size=grid.center_index + 1)
+        extension = np.concatenate([half[:0:-1], half])
+        got = _even_period(half, np.full(grid.n_points, np.nan))
+        assert np.array_equal(got, detrended(extension, grid))
+
+    @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
+    def test_half_laplacian_is_the_right_half_exactly(self, half_length, n_points, nu, h):
+        grid, _, _, _, half = self._symmetric_case(half_length, n_points, nu, h)
+        c = grid.center_index
+        values = np.random.default_rng(31).normal(size=c + 1)
+        extension = np.concatenate([values[:0:-1], values])
+        want = half_laplacian_spectral_values(extension, grid)[c:]
+        assert np.array_equal(half._half_laplacian(values, None), want)
+
+    @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
+    def test_precondition_odd_is_the_right_half_exactly(self, half_length, n_points, nu, h):
+        grid, params, _, _, half = self._symmetric_case(half_length, n_points, nu, h)
+        symbol = _dirichlet_symbol(grid, params)
+        c = grid.center_index
+        r = odd_part(np.random.default_rng(37).normal(size=grid.n_samples))
+        r[0] = r[-1] = 0.0
+        want = _precondition(r, symbol)[c:]
+        want[0] = 0.0   # the whole line leaves rounding there; the half line pins it
+        got = _precondition_odd(r[c:].copy(), symbol, half.work, np.empty(c + 1))
+        assert np.array_equal(got, want)
 
     def test_reused_work_matches_fresh_bit_for_bit(self):
         # NaN in every work array, then an expansion at another iterate, so
