@@ -44,12 +44,14 @@ class EnergyBreakdown:
     total: float
 
 
-def energy_parts(values: np.ndarray, grid: Grid1D, params: ModelParams):
-    """(exchange, anisotropy, stray) for a raw value array."""
+def energy_parts(values: np.ndarray, grid: Grid1D, params: ModelParams, u=None):
+    """(exchange, anisotropy, stray) for a raw value array; u is
+    sin(values) - h where the caller has already formed it."""
     s = grid.spacing
     d = np.diff(values)
     exchange = 0.5 * float(np.sum(d * d)) / s
-    u = np.sin(values) - params.h
+    if u is None:
+        u = np.sin(values) - params.h
     anisotropy = 0.5 * float(np.sum(grid.trapezoid * u * u))
     stray = 0.25 * params.nu * spectral_quadratic_form(u, grid)
     return exchange, anisotropy, stray

@@ -138,11 +138,28 @@ def half_laplacian_pv(u: FieldSamples, i: int) -> float:
     return float(total)
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b >= n."""
+    best = 1 << (n - 1).bit_length()
+    power3 = 1
+    while power3 < best:
+        # the least power of two p with power3 p >= n
+        p = 1 << (-(-n // power3) - 1).bit_length()
+        best = min(best, power3 * p)
+        power3 *= 3
+    return best
+
+
 def _lag_convolve(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """(kernel * a)_j = sum_k kernel[j - k + n] a[k], via FFT."""
+    """(kernel * a)_j = sum_k kernel[j - k + n] a[k], via FFT.
+
+    A circular convolution of period P folds the linear one's entries j +- P
+    onto j; for the m outputs j = m - 1, ..., 2m - 2 those entries are zero
+    once P >= kernel.size and P >= 2m - 1, so P is the smallest 2^a 3^b
+    that long (8748 = 2^2 3^7 rather than 16384 points for m = 4097).
+    """
     m = a.size
-    full = m + kernel.size - 1
-    nfft = 1 << (full - 1).bit_length()
+    nfft = _fft_length(max(kernel.size, 2 * m - 1))
     out = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(kernel, nfft), nfft)
     return out[m - 1:2 * m - 1]
 

@@ -64,7 +64,7 @@ from .energy import (
     ExpansionWork,
     LocalExpansion,
     clamp_values,
-    energy,
+    energy_parts,
     symmetrize_rearrange,
 )
 from .fractional import periodic_half_laplacian, periodic_quadratic_form
@@ -354,9 +354,11 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
             iterations += 1
 
     profile = Profile(grid, full.tmp2, params)
+    # the last whole-line expansion holds sin v - h of this profile
+    exchange, anisotropy, stray = energy_parts(full.tmp2, grid, params, whole.u)
     return SolveResult(
         profile=profile,
-        energy=energy(profile),
+        energy=EnergyBreakdown(exchange, anisotropy, stray, exchange + anisotropy + stray),
         residual_sup=residual,
         iterations=iterations,
         converged=residual <= opts.tol,

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neelwall as nw
-from neelwall.fractional import FieldSamples, half_laplacian_spectral_values
+from neelwall.fractional import (
+    FieldSamples,
+    _fft_length,
+    _lag_convolve,
+    half_laplacian_spectral_values,
+)
 
 
 def gaussian_field(grid, sigma=1.5, amp=1.0):
@@ -114,6 +119,26 @@ class TestPrincipalValue:
         pv = np.array([nw.half_laplacian_pv(u, int(i)) for i in inner])
         scale = np.max(np.abs(spectral[inner]))
         assert np.max(np.abs(pv - spectral[inner])) <= 1e-3 * scale
+
+
+class TestLagConvolve:
+    @pytest.mark.parametrize("m", [1, 3, 65, 1000, 4097])
+    def test_matches_direct_convolution(self, m):
+        # kernels of 2m - 1 lags, as the Green and seminorm kernels; the FFT
+        # length is not a power of two for m = 3, 65 and 4097, and a period
+        # one shorter than 2m - 1 would fold the last output onto the first
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=m)
+        kernel = rng.normal(size=2 * m - 1)
+        want = np.convolve(a, kernel)[m - 1:2 * m - 1]
+        got = _lag_convolve(a, kernel)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fft_length(self):
+        smooth = sorted(2 ** a * 3 ** b for a in range(16) for b in range(10))
+        for n in range(1, 20000):
+            assert _fft_length(n) == next(p for p in smooth if p >= n)
 
 
 class TestSeminorm:

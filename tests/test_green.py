@@ -256,11 +256,15 @@ class TestPoleIntegral:
 
     @staticmethod
     def switch_radii(cos_arg):
-        """|z| at each switch along the ray: the series' radius bins, the
-        asymptotic radius, and where s = |w| + Re w of either half, w = +-z,
-        meets the seam or a continued-fraction bin edge."""
-        edges = green._SERIES_SEAM * 2.0 ** np.arange(7)
-        radii = [*green._SERIES_RADII, green._ASYMPTOTIC_Z]
+        """|z| at each switch along the ray: every radius where the series
+        length changes, the asymptotic radius, and where s = |w| + Re w of
+        either half, w = +-z, meets the seam or a value 200 / j at which
+        the continued fraction's depth ceil(200 / s) + 4 changes."""
+        lengths = green._SERIES_LENGTHS
+        radii = [*green._SERIES_RADII[np.flatnonzero(np.diff(lengths))],
+                 green._ASYMPTOTIC_Z]
+        edges = np.array([green._SERIES_SEAM,
+                          *(200.0 / np.arange(1, 200.0 / green._SERIES_SEAM))])
         for scale in (1.0 + cos_arg, 1.0 - cos_arg):
             if scale > 0.0:
                 radii.extend(edges / scale)
@@ -458,6 +462,17 @@ class TestDecayAmplitude:
         for (nu, h) in [(1.0, 0.0), (2.0, 0.3)]:
             report = nw.decay_amplitude(asymptotic_solves[(nu, h)].profile)
             assert report.exponent_fit == pytest.approx(-2.0, abs=0.15)
+
+    def test_exponent_matches_polyfit(self, asymptotic_solves):
+        # the closed-form slope is the degree-1 least-squares fit
+        for result in asymptotic_solves.values():
+            p = result.profile
+            x = p.grid.points
+            window = (x >= p.grid.half_length / 8) & (x <= p.grid.half_length / 4)
+            dev = p.values[window] - p.params.theta_h
+            want = np.polyfit(np.log(x[window]), np.log(dev), 1)[0]
+            got = nw.decay_amplitude(p).exponent_fit
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("nu, h", [(1.0, 0.0), (2.0, 0.5), (0.5, 0.3)])
     def test_multipole_matches_far_field(self, nu, h):

@@ -74,6 +74,24 @@ class TestMinimize:
         assert np.max(np.abs(resid.values)) == result.residual_sup
         assert result.converged == (result.residual_sup <= nw.SolveOptions.tol)
 
+    @pytest.mark.parametrize("cell", [None, (2.0, 0.3), "max_iter=3", "stalled"])
+    def test_energy_is_the_returned_profiles(self, baseline, cell, monkeypatch):
+        # the solve reuses sin v - h of its last whole-line expansion; the
+        # energy must still be that of the returned wall, bit for bit
+        grid = nw.make_grid(20.0, 512)
+        start = nw.reference_profile(grid, nw.ModelParams(1.0, 0.0))
+        if cell is None:
+            result = baseline
+        elif cell == "max_iter=3":
+            result = nw.minimize(start, nw.SolveOptions(max_iter=3))
+        elif cell == "stalled":
+            monkeypatch.setattr(minimize_module._HalfLineExpansion, "energy_change",
+                                lambda *args: np.inf)
+            result = nw.minimize(start)
+        else:
+            result = nw.solve_cell(*cell, None, 20.0, 1024)
+        assert result.energy == nw.energy(result.profile)
+
     def test_monotone_energy_descent(self):
         # the iterates of a solve capped at k steps are the first k of the
         # full solve, so this is the energy along one trajectory
