@@ -3,8 +3,10 @@
 
 One line per cell (nu, h, half_length, n_points): the Newton step count,
 repr of the total energy and of the residual sup-norm, and the SHA-256 of
-the profile's bytes.  A change meant to leave every solve bit-identical is
-checked with one `diff` of this script's output before and after it:
+the profile's bytes; then the Newton steps summed over all cells, the
+solver's step budget on this set.  A change meant to leave every solve
+bit-identical is checked with one `diff` of this script's output before
+and after it:
 
     python scripts/solve_digest.py > before.txt
     ... apply the change ...
@@ -27,12 +29,15 @@ CELLS = (
 
 
 def main():
+    steps = 0
     for nu, h, half_length, n_points in CELLS:
         result = nw.solve_cell(nu, h, None, half_length, n_points)
+        steps += result.iterations
         digest = hashlib.sha256(result.profile.values.tobytes()).hexdigest()
         print(f"nu={nu:g} h={h:g} L={half_length:g} N={n_points}"
               f" iterations={result.iterations} energy={result.energy.total!r}"
               f" residual={result.residual_sup!r} profile={digest}")
+    print(f"total iterations={steps} over {len(CELLS)} cells")
 
 
 if __name__ == "__main__":

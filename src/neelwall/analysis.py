@@ -11,8 +11,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .green import DecayReport, decay_amplitude
-from .grid import (ModelParams, Profile, check_transition_fits, find_crossing, make_grid,
-                   reference_profile, symmetry_defect)
+from .grid import (ModelParams, Profile, check_transition_fits, find_crossing, local_wall,
+                   make_grid, symmetry_defect)
 from .minimize import SolveOptions, SolveResult, minimize
 
 DEFAULT_HALF_LENGTH = 40.0
@@ -119,10 +119,10 @@ class SweepRow:
 def solve_cell(nu: float, h: float, opts: Optional[SolveOptions] = None,
                half_length: float = DEFAULT_HALF_LENGTH,
                n_points: int = DEFAULT_N_POINTS) -> SolveResult:
-    """One independent wall solve from the reference initialization: the
-    SolveResult of minimize, with no tail analysis (verify does that)."""
-    return minimize(reference_profile(make_grid(half_length, n_points),
-                                      ModelParams(nu, h)), opts)
+    """One independent wall solve started at the nu = 0 wall
+    (`grid.local_wall`): the SolveResult of minimize, with no tail analysis
+    (verify does that)."""
+    return minimize(local_wall(make_grid(half_length, n_points), ModelParams(nu, h)), opts)
 
 
 def _row_for(nu: float, h: float, opts: SolveOptions,

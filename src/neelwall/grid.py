@@ -328,6 +328,23 @@ def reference_profile(grid: Grid1D, params: ModelParams) -> Profile:
     return Profile(grid, values, params)
 
 
+def local_wall(grid: Grid1D, params: ModelParams) -> Profile:
+    """The nu = 0 wall, the minimizer of exchange + anisotropy alone:
+    tan(phi/2) = tan(eps/2) tanh(x sin(eps) / 2), phi = pi/2 - theta,
+    eps = pi/2 - theta_h.
+
+    Evaluated on the right half and mirrored by `mirror_left_half`, so its
+    symmetry defect is exactly 0; both ends are pinned to the plateaus.
+    """
+    c = grid.center_index
+    eps = np.pi / 2 - params.theta_h
+    values = np.empty(grid.n_samples)
+    slope = np.tan(eps / 2) * np.tanh(grid.points[c:] * (np.sin(eps) / 2))
+    values[c:] = np.pi / 2 - 2.0 * np.arctan(slope)
+    values[-1] = params.right_plateau
+    return Profile(grid, mirror_left_half(values), params)
+
+
 def interpolate(profile: Profile, x) -> float | np.ndarray:
     """Piecewise-linear interpolation of profile values; exact at samples.
 

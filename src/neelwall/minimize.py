@@ -8,6 +8,10 @@ center, pinned at theta(0) = pi/2, to the end, pinned at theta(L) =
 theta_h.  The start is the right half of the symmetric decreasing
 rearrangement of the clamped initial profile, and the returned profile is
 the last iterate mirrored, so the wall is centered by construction.
+`analysis.solve_cell` passes the nu = 0 wall `grid.local_wall`, which is
+its own rearrangement and lies where the quadratic phase of Newton's
+method begins: 4 steps at nu = 1, h = 0, L = 40 and any N, against 5 from
+`grid.reference_profile`.
 
 On the half line the wall is a Dirichlet problem whose only nonlocal
 coupling is the stray field halfLap(sin theta - h) of the even extension.
@@ -28,8 +32,10 @@ ch. 7) on one `_HalfLineExpansion` of the energy at the iterate, which
 supplies its gradient, Hessian products and trial energy changes with the
 pointwise formulas of `energy.LocalExpansion`.  The direction comes from a
 truncated preconditioned CG on the exact Hessian of the discrete energy,
-stopped at the forcing tolerance min(1/2, ||g||^(1/2)) ||g|| or at the
-first direction of negative curvature (Steihaug 1983).  The preconditioner
+stopped at the forcing tolerance min(1/10, ||g||^(1/2)) ||g|| (Eisenstat
+and Walker 1996; a cap of 1/2 took 7 steps where 1/10 takes 5 from the
+reference start at the baseline cell) or at the first direction of
+negative curvature (Steihaug 1983).  The preconditioner
 is the linearized wall operator with Dirichlet ends, diagonal in the sine
 modes sin(pi m j / n) of the interior nodes of the whole line:
 
@@ -251,7 +257,7 @@ def _newton_direction(g, expansion, symbol):
     spacing, work = expansion.grid.spacing, expansion.work
     p, r, d, z, hd, tmp = work.p, work.r, work.d, work.z, work.hd, work.tmp0
     g_norm = math.sqrt(_inner(g, g, spacing, tmp))
-    target = min(0.5, math.sqrt(g_norm)) * g_norm
+    target = min(0.1, math.sqrt(g_norm)) * g_norm
     p.fill(0.0)
     np.copyto(r, g)   # residual H p + g
     _precondition_odd(r, symbol, work, z)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import neelwall as nw
-from neelwall.grid import find_crossing, level_crossings, mirror_left_half, symmetry_defect
+from neelwall.grid import (find_crossing, level_crossings, local_wall, mirror_left_half,
+                           symmetry_defect)
 
 
 class TestMakeGrid:
@@ -142,6 +143,36 @@ class TestReferenceProfile:
         ref = nw.reference_profile(g, nw.ModelParams(1.0, 0.3))
         e = nw.energy(ref)
         assert np.isfinite(e.total) and e.total > 0
+
+
+class TestLocalWall:
+    @pytest.mark.parametrize("h", [0.0, 0.3, 0.9, 0.99, 0.99999])
+    @pytest.mark.parametrize("half_length, n", [(2.0, 4), (10.0, 256), (80.0, 8192)])
+    def test_pinned_monotone_and_its_own_rearrangement(self, h, half_length, n):
+        # at L = 80 and h = 0 the tanh rounds to 1 over most of the right half
+        params = nw.ModelParams(1.0, h)
+        wall = local_wall(nw.make_grid(half_length, n), params)
+        v = wall.values
+        assert v[0] == params.left_plateau and v[-1] == params.right_plateau
+        assert np.all(np.diff(v) <= 0.0)
+        assert symmetry_defect(v) == 0.0
+        assert np.array_equal(nw.symmetrize_rearrange(wall).values, v)
+
+    @pytest.mark.parametrize("h", [0.0, 0.5, 0.9])
+    def test_nu_zero_energy_and_virial_converge_at_second_order(self, h):
+        # the continuum wall has exchange + anisotropy = E0(h) and, by
+        # Derrick's identity, exchange = anisotropy; the samples of the
+        # closed form miss both by O(s^2), so a 4x finer grid gains 16x
+        params = nw.ModelParams(1.0, h)
+        e0 = 2.0 * (params.cos_theta_h - h * (np.pi / 2 - params.theta_h))
+        energy_gaps, virial_gaps = [], []
+        for n in (1024, 4096, 16384):
+            e = nw.energy(local_wall(nw.make_grid(40.0, n), params))
+            energy_gaps.append(e.exchange + e.anisotropy - e0)
+            virial_gaps.append(e.exchange - e.anisotropy)
+        for gaps in (energy_gaps, virial_gaps):
+            for coarse, fine in zip(gaps, gaps[1:]):
+                assert 14.0 <= coarse / fine <= 18.0, gaps
 
 
 class TestInterpolate:
