@@ -26,14 +26,12 @@ from .energy import (
 )
 from .fractional import (
     FieldSamples,
-    h_half_seminorm_sq,
     half_laplacian_pv,
     half_laplacian_spectral,
 )
 from .green import (
     DecayReport,
     ForcingTerms,
-    apply_linearized_operator,
     convolve_green,
     decay_amplitude,
     forcing_terms,
@@ -43,21 +41,18 @@ from .green import (
     green_samples,
     green_values,
 )
-from .grid import Grid1D, ModelParams, Profile, interpolate, make_grid, reference_profile
+from .grid import Grid1D, ModelParams, Profile, make_grid, reference_profile
 from .io import emit, load_result, load_table
 from .minimize import SolveOptions, SolveResult, minimize, recenter
 
 __all__ = [
     "Grid1D", "ModelParams", "Profile", "make_grid", "reference_profile",
-    "interpolate",
     "FieldSamples", "half_laplacian_spectral", "half_laplacian_pv",
-    "h_half_seminorm_sq",
     "EnergyBreakdown", "energy", "energy_gradient", "field_derivative",
     "clamp_rotations", "symmetrize_rearrange", "sin_midpoint",
     "SolveOptions", "SolveResult", "minimize", "recenter",
     "green_hat", "green_quadrature", "green_decay_coeff", "green_samples",
-    "green_values",
-    "apply_linearized_operator", "ForcingTerms", "forcing_terms",
+    "green_values", "ForcingTerms", "forcing_terms",
     "DecayReport", "decay_amplitude", "convolve_green",
     "VerificationReport", "verify", "SweepRow", "sweep",
     "solve_cell", "wall_width",

@@ -52,7 +52,7 @@ def verify(result: SolveResult, tol: float = SolveOptions.tol) -> VerificationRe
     Raises:
         ValueError: a tol that SolveOptions rejects, or result not converged.
     """
-    SolveOptions(tol=tol)   # one rule for every tolerance
+    tol = SolveOptions(tol=tol).tol   # one rule for every tolerance, a Python float
     if not result.converged:
         raise ValueError("verify requires a converged solve")
     p = result.profile

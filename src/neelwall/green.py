@@ -1,4 +1,4 @@
-"""Linearized wall operator, its fundamental solution, and tail analysis.
+"""The linearized wall operator's fundamental solution and tail analysis.
 
 Linearizing the equilibrium equation around the plateau angle theta_h gives
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import field_derivative
-from .fractional import _lag_convolve, half_laplacian_spectral_values
+from .fractional import half_laplacian_spectral_values
 from .grid import (
     FieldSamples,
     Grid1D,
@@ -45,7 +45,6 @@ from .grid import (
     Profile,
     composite_gauss_legendre,
     fold,
-    second_difference,
 )
 
 
@@ -331,24 +330,6 @@ def green_samples(grid: Grid1D, params: ModelParams) -> np.ndarray:
     return np.concatenate([half[:0:-1], half])
 
 
-def apply_linearized_operator(u: FieldSamples, params: ModelParams) -> FieldSamples:
-    """Apply L nodewise: 3-point second difference + spectral half-Laplacian
-    + zeroth-order multiplication.  Endpoints reuse the one-sided curvature of
-    their neighbor (fields of interest are flat there)."""
-    grid = u.grid
-    v = u.values
-    c2 = params.cos_theta_h ** 2
-
-    u_xx = np.empty_like(v)
-    second_difference(v, grid.spacing, u_xx[1:-1])
-    u_xx[0] = u_xx[1]
-    u_xx[-1] = u_xx[-2]
-
-    lam = half_laplacian_spectral_values(v, grid)
-    out = -u_xx + 0.5 * params.nu * c2 * lam + c2 * v
-    return FieldSamples(grid, out)
-
-
 @dataclass(frozen=True)
 class ForcingTerms:
     """Nonlinear forcing of the linearized equation for the folded deviation.
@@ -469,6 +450,32 @@ def decay_amplitude(p: Profile) -> DecayReport:
         amplitude_tailfit=amplitude_tailfit,
         exponent_fit=float(slope),
     )
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b >= n."""
+    best = 1 << (n - 1).bit_length()
+    power3 = 1
+    while power3 < best:
+        # the least power of two p with power3 p >= n
+        p = 1 << (-(-n // power3) - 1).bit_length()
+        best = min(best, power3 * p)
+        power3 *= 3
+    return best
+
+
+def _lag_convolve(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(kernel * a)_j = sum_k kernel[j - k + n] a[k], via FFT.
+
+    A circular convolution of period P folds the linear one's entries j +- P
+    onto j; for the m outputs j = m - 1, ..., 2m - 2 those entries are zero
+    once P >= kernel.size and P >= 2m - 1, so P is the smallest 2^a 3^b
+    that long (8748 = 2^2 3^7 rather than 16384 points for m = 4097).
+    """
+    m = a.size
+    nfft = _fft_length(max(kernel.size, 2 * m - 1))
+    out = np.fft.irfft(np.fft.rfft(a, nfft) * np.fft.rfft(kernel, nfft), nfft)
+    return out[m - 1:2 * m - 1]
 
 
 def convolve_green(f: FieldSamples, params: ModelParams) -> FieldSamples:

@@ -344,20 +344,3 @@ def local_wall(grid: Grid1D, params: ModelParams) -> Profile:
     values[-1] = params.right_plateau
     return Profile(grid, mirror_left_half(values), params)
 
-
-def interpolate(profile: Profile, x) -> float | np.ndarray:
-    """Piecewise-linear interpolation of profile values; exact at samples.
-
-    Raises:
-        ValueError: a query point outside [-half_length, half_length], or NaN.
-    """
-    xq = np.asarray(x, dtype=float)
-    limit = profile.grid.half_length * (1.0 + 1e-14)
-    if not np.all(np.abs(xq) <= limit):   # NaN fails it too
-        raise ValueError(
-            f"interpolation points must lie in |x| <= {profile.grid.half_length}"
-        )
-    result = np.interp(xq, profile.grid.points, profile.values)
-    if np.isscalar(x) or xq.ndim == 0:
-        return float(result)
-    return result

@@ -42,18 +42,20 @@ modes sin(pi m j / n) of the interior nodes of the whole line:
     (4/s^2) sin^2(k s/2) + (nu/2) cos^2(theta_h) k + cos^2(theta_h),
     k = pi m / (2 half_length).
 
-An odd residual, r[j] = -r[n - j], holds only the modes m = 2m' and is
-odd in the n-periodic sense too, so a length-n rfft applies it, mode m' at
-the periodic wavenumber pi m' / half_length.  An Armijo backtracking line
-search on the cancellation-free energy change starts at the full step, so
-the energy never increases; the accepted point is clamped to the
-admissible range, and the step vanishes at both pinned samples.  Once the
-interior gradient sup-norm reaches the tolerance the solve takes one more
-Newton step, which costs a few Hessian products and takes the energy from
-about tol^2 to far below it.  That iterate, or the last one when the step
-budget runs out or the line search stalls, is expanded once on the whole
-line: the sup-norm of that gradient is the reported residual and decides
-the stop.  Every work array lives in one `_SolveWork` per solve.
+The residual's odd extension, r[j] = -r[n - j], holds only the modes
+m = 2m' and is odd in the n-periodic sense too, so `_precondition` stages it
+from the right half, applies the inverse symbol with one length-n rfft,
+mode m' at the periodic wavenumber pi m' / half_length, and reads back the
+right half.  An Armijo backtracking line search on the cancellation-free
+energy change starts at the full step, so the energy never increases; the
+accepted point is clamped to the admissible range, and the step vanishes at
+both pinned samples.  Once the interior gradient sup-norm reaches the
+tolerance the solve takes one more Newton step, which costs a few Hessian
+products and takes the energy from about tol^2 to far below it.  That
+iterate, or the last one when the step budget runs out or the line search
+stalls, is expanded once on the whole line: the sup-norm of that gradient
+is the reported residual and decides the stop.  Every work array lives in
+one `_SolveWork` per solve.
 """
 
 from __future__ import annotations
@@ -211,35 +213,26 @@ def _dirichlet_symbol(grid: Grid1D, params: ModelParams) -> np.ndarray:
     return linearized_symbol(k, params) - k * k + second_difference
 
 
-def _precondition(r: np.ndarray, symbol: np.ndarray, out=None,
-                  spectrum=None) -> np.ndarray:
-    """Divide the sine coefficients of an odd r by `symbol`; ends zero.
+def _precondition(r: np.ndarray, symbol: np.ndarray, work: _SolveWork,
+                  out: np.ndarray) -> np.ndarray:
+    """Divide the sine coefficients of the odd extension of the right-half
+    residual r by `symbol`, into the right half out; zero at the center and
+    the end.
 
-    The rfft of r's first n samples holds its sine mode 2m' at index m', so
-    one length-n rfft/irfft pair applies the inverse symbol.  out and
-    spectrum (n/2 + 1, complex) are optional work arrays.
+    The extension's first n_points samples are staged in work.full.tmp0;
+    their rfft holds the sine mode 2m' at index m', so one length-n
+    rfft/irfft pair applies the inverse symbol.
     """
-    spec = np.fft.rfft(r[:-1], out=spectrum)
+    full, c = work.full, r.size - 1
+    period = full.tmp0[:-1]
+    np.copyto(period[c:], r[:-1])
+    np.negative(r[:0:-1], out=period[:c])
+    spec = np.fft.rfft(period, out=full.spectrum)
     spec /= symbol
-    if out is None:
-        out = np.empty_like(r)
-    np.fft.irfft(spec, n=r.size - 1, out=out[:-1])
+    np.fft.irfft(spec, n=period.size, out=full.tmp1[:-1])
+    np.copyto(out[:-1], full.tmp1[c:-1])
     out[0] = 0.0
     out[-1] = 0.0
-    return out
-
-
-def _precondition_odd(r: np.ndarray, symbol: np.ndarray, work: _SolveWork,
-                      out: np.ndarray) -> np.ndarray:
-    """`_precondition` of the odd extension of the right-half residual r,
-    read back on the right half into out; zero at the center and the end."""
-    full, c = work.full, r.size - 1
-    # _precondition reads the first n_points samples only
-    np.copyto(full.tmp0[c:-1], r[:-1])
-    np.negative(r[:0:-1], out=full.tmp0[:c])
-    _precondition(full.tmp0, symbol, full.tmp1, full.spectrum)
-    np.copyto(out, full.tmp1[c:])
-    out[0] = 0.0
     return out
 
 
@@ -260,7 +253,7 @@ def _newton_direction(g, expansion, symbol):
     target = min(0.1, math.sqrt(g_norm)) * g_norm
     p.fill(0.0)
     np.copyto(r, g)   # residual H p + g
-    _precondition_odd(r, symbol, work, z)
+    _precondition(r, symbol, work, z)
     np.negative(z, out=d)
     rz = _inner(r, z, spacing, tmp)
     for j in range(CG_MAX_ITER):
@@ -274,7 +267,7 @@ def _newton_direction(g, expansion, symbol):
         r += hd
         if math.sqrt(_inner(r, r, spacing, tmp)) <= target:
             break
-        _precondition_odd(r, symbol, work, z)
+        _precondition(r, symbol, work, z)
         rz_next = _inner(r, z, spacing, tmp)
         d *= rz_next / rz
         d -= z

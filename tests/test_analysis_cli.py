@@ -28,6 +28,16 @@ def small_solve():
     return result
 
 
+def test_public_names_resolve_once():
+    # a stale entry for a deleted function fails here, and breaks `import *`
+    assert len(set(nw.__all__)) == len(nw.__all__)
+    for name in nw.__all__:
+        assert hasattr(nw, name), name
+    namespace = {}
+    exec("from neelwall import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(nw.__all__)
+
+
 # a coarse cell that converges (4 Newton steps) to a discrete wall rising by
 # about 1.7e-4 near both ends, so its tail cannot be analysed
 COARSE_CELL = dict(nu=1.0, h=0.0, half_length=20.0, n_points=16)
@@ -60,7 +70,8 @@ class TestVerify:
         assert report.violation_index == 100
         assert report.monotone_margin <= 0  # flag consistent with margin
 
-    def test_tolerance_flags_follow_tol(self, small_solve):
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_tolerance_flags_follow_tol(self, small_solve, scalar):
         # a solve is exactly symmetric, so one sample is moved to give a defect
         v = small_solve.profile.values.copy()
         v[100] += 1e-9
@@ -74,10 +85,14 @@ class TestVerify:
         defect = nw.verify(skewed).symmetry_defect
         residual = skewed.residual_sup
         assert defect > 0 and residual > 0
-        loose = nw.verify(skewed, max(residual, defect / 10))
+        loose = nw.verify(skewed, scalar(max(residual, defect / 10)))
         assert loose.symmetry_ok and loose.residual_ok
-        tight = nw.verify(skewed, min(residual, defect / 10) / 2)
+        tight = nw.verify(skewed, scalar(min(residual, defect / 10) / 2))
         assert not tight.symmetry_ok and not tight.residual_ok
+        # a numpy tol must not make a flag a numpy.bool
+        for report in (loose, tight):
+            for flag in ("monotone_strict", "range_ok", "symmetry_ok", "residual_ok"):
+                assert type(getattr(report, flag)) is bool
 
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, True])
     def test_invalid_tol_rejected(self, small_solve, tol):

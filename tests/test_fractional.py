@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import zeta
+
 import neelwall as nw
 from neelwall.fractional import (
     FieldSamples,
-    _fft_length,
-    _lag_convolve,
     half_laplacian_spectral_values,
+    spectral_quadratic_form,
 )
 
 
@@ -121,80 +122,42 @@ class TestPrincipalValue:
         assert np.max(np.abs(pv - spectral[inner])) <= 1e-3 * scale
 
 
-class TestLagConvolve:
-    @pytest.mark.parametrize("m", [1, 3, 65, 1000, 4097])
-    def test_matches_direct_convolution(self, m):
-        # kernels of 2m - 1 lags, as the Green and seminorm kernels; the FFT
-        # length is not a power of two for m = 3, 65 and 4097, and a period
-        # one shorter than 2m - 1 would fold the last output onto the first
-        rng = np.random.default_rng(m)
-        a = rng.normal(size=m)
-        kernel = rng.normal(size=2 * m - 1)
-        want = np.convolve(a, kernel)[m - 1:2 * m - 1]
-        got = _lag_convolve(a, kernel)
-        assert got.shape == (m,)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+def sech(x):
+    """1 / cosh x, written so that it does not overflow for large |x|."""
+    e = np.exp(-np.abs(x))
+    return 2.0 * e / (1.0 + e * e)
 
-    def test_fft_length(self):
-        smooth = sorted(2 ** a * 3 ** b for a in range(16) for b in range(10))
-        for n in range(1, 20000):
-            assert _fft_length(n) == next(p for p in smooth if p >= n)
+
+# fields with a closed-form squared seminorm (1/2 pi) int |k| |u^(k)|^2 dk
+CLOSED_FORMS = {
+    "gaussian sigma=0.5": (lambda x: np.exp(-x * x / 0.5), 1.0),
+    "gaussian sigma=1.5": (lambda x: np.exp(-x * x / 4.5), 1.0),
+    "sech": (sech, 4.0 * np.log(2.0) / np.pi),
+    "sech^2": (lambda x: sech(x) ** 2, 24.0 * zeta(3.0) / np.pi ** 3),
+}
 
 
 class TestSeminorm:
     def test_constant_is_zero(self):
         g = nw.make_grid(10.0, 64)
-        assert nw.h_half_seminorm_sq(FieldSamples(g, np.full(g.n_samples, 5.0))) == 0.0
+        assert spectral_quadratic_form(np.full(g.n_samples, 5.0), g) == 0.0
 
-    def test_matches_direct_double_sum(self):
-        g = nw.make_grid(10.0, 64)
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=g.n_samples)
-        fast = nw.h_half_seminorm_sq(FieldSamples(g, v))
-        p, s = g.points, g.spacing
-        w = np.full(g.n_samples, s)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        fwd = np.empty_like(v)
-        fwd[:-1] = (v[1:] - v[:-1]) / s
-        fwd[-1] = fwd[-2]
-        total = 0.0
-        for j in range(g.n_samples):
-            for k in range(g.n_samples):
-                q = fwd[j] ** 2 if j == k else (v[j] - v[k]) ** 2 / (p[j] - p[k]) ** 2
-                total += w[j] * q * w[k]
-        assert fast == pytest.approx(total / (2 * np.pi), rel=1e-13)
-
-    def test_parseval_against_spectral_form(self):
-        # narrow bump on a long domain: the missing outside-domain pairs of
-        # the truncated double integral scale like sigma / half_length
-        g = nw.make_grid(1000.0, 32000)
-        u = gaussian_field(g, sigma=0.5)
-        s_double = nw.h_half_seminorm_sq(u)
-        lam = nw.half_laplacian_spectral(u).values
-        s_spectral = g.spacing * float(np.dot(u.values[:-1], lam[:-1]))
-        assert s_double == pytest.approx(s_spectral, rel=1e-3)
+    @pytest.mark.parametrize("name", CLOSED_FORMS)
+    def test_closed_forms(self, name):
+        # at a fixed spacing the periodized form's truncation error falls
+        # like 1/half_length^2
+        field, exact = CLOSED_FORMS[name]
+        errors = []
+        for half_length, n_points in ((40.0, 4096), (80.0, 8192), (160.0, 16384)):
+            g = nw.make_grid(half_length, n_points)
+            errors.append(spectral_quadratic_form(field(g.points), g) / exact - 1.0)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.9 <= coarse / fine <= 4.1
+        assert abs(errors[-1]) <= 2e-4
 
     @given(seed=st.integers(0, 2 ** 31))
     @settings(max_examples=20, deadline=None)
     def test_doubling_scales_by_four_exactly(self, seed):
         g = nw.make_grid(5.0, 64)
-        rng = np.random.default_rng(seed)
-        v = rng.normal(size=g.n_samples)
-        s1 = nw.h_half_seminorm_sq(FieldSamples(g, v))
-        s4 = nw.h_half_seminorm_sq(FieldSamples(g, 2.0 * v))
-        assert s4 == 4.0 * s1
-
-    def test_truncation_attribution_report(self, capsys):
-        # the spectral (periodized) and truncated double-integral forms both
-        # approximate the whole-line value; record their gap at production
-        # geometry rather than adjudicating it
-        g = nw.make_grid(40.0, 2048)
-        u = gaussian_field(g, sigma=1.5)
-        s_double = nw.h_half_seminorm_sq(u)
-        lam = nw.half_laplacian_spectral(u).values
-        s_spectral = g.spacing * float(np.dot(u.values[:-1], lam[:-1]))
-        gap = abs(s_double - s_spectral) / s_spectral
-        print(f"truncation gap at L=40: {gap:.2e} "
-              f"(double {s_double:.6f} vs spectral {s_spectral:.6f})")
-        assert gap < 0.1
+        v = np.random.default_rng(seed).normal(size=g.n_samples)
+        assert spectral_quadratic_form(2.0 * v, g) == 4.0 * spectral_quadratic_form(v, g)

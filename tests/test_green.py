@@ -11,6 +11,7 @@ from scipy.special import exp1, sici
 
 import neelwall as nw
 from neelwall import green
+from neelwall.energy import LocalExpansion
 from neelwall.fractional import FieldSamples
 from neelwall.grid import fold, symmetry_defect
 
@@ -329,13 +330,19 @@ def test_package_imports_no_scipy(tmp_path):
     assert after_kernels == "[]"
 
 
+def apply_linearized_operator(u, grid, params):
+    """L u at the interior nodes, zero at both ends: L is the energy's
+    Hessian at the plateau theta = theta_h."""
+    plateau = LocalExpansion(np.full(grid.n_samples, params.theta_h), grid, params)
+    return plateau.hessian_product(u)
+
+
 class TestApplyLinearizedOperator:
     def test_constant_field(self):
         grid = nw.make_grid(20.0, 256)
         params = nw.ModelParams(1.0, 0.4)
-        out = nw.apply_linearized_operator(
-            FieldSamples(grid, np.ones(grid.n_samples)), params)
-        assert np.allclose(out.values, params.cos_theta_h ** 2, rtol=1e-12)
+        out = apply_linearized_operator(np.ones(grid.n_samples), grid, params)
+        assert np.allclose(out[1:-1], params.cos_theta_h ** 2, rtol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_plane_wave_symbol(self, m):
@@ -343,30 +350,50 @@ class TestApplyLinearizedOperator:
         params = nw.ModelParams(1.0, 0.2)
         k = np.pi * m / grid.half_length
         u = np.cos(k * grid.points)
-        out = nw.apply_linearized_operator(FieldSamples(grid, u), params)
+        out = apply_linearized_operator(u, grid, params)
         expected = u / nw.green_hat(k, params)
         inner = slice(1, -1)
-        assert np.allclose(out.values[inner], expected[inner], rtol=1e-4)
+        assert np.allclose(out[inner], expected[inner], rtol=1e-4)
 
     def test_fundamental_solution_property(self):
         grid = nw.make_grid(30.0, 1024)
         params = nw.ModelParams(1.0, 0.0)
         gvals = np.array([nw.green_quadrature(x, params) for x in grid.points])
-        out = nw.apply_linearized_operator(FieldSamples(grid, gvals), params)
+        out = apply_linearized_operator(gvals, grid, params)
         center = grid.center_index
-        assert out.values[center] * grid.spacing == pytest.approx(1.0, rel=0.05)
+        assert out[center] * grid.spacing == pytest.approx(1.0, rel=0.05)
         away = np.abs(grid.points) > 1.0
-        assert np.max(np.abs(out.values[away])) <= 5e-3
+        assert np.max(np.abs(out[away])) <= 5e-3
 
     def test_inverse_of_convolution(self):
         grid = nw.make_grid(30.0, 1024)
         params = nw.ModelParams(1.0, 0.2)
         bump = np.exp(-grid.points ** 2 / 2.0)
-        reconstructed = nw.apply_linearized_operator(
-            nw.convolve_green(FieldSamples(grid, bump), params), params)
+        reconstructed = apply_linearized_operator(
+            nw.convolve_green(FieldSamples(grid, bump), params).values, grid, params)
         inner = np.abs(grid.points) < 0.5 * grid.half_length
-        err = np.max(np.abs(reconstructed.values[inner] - bump[inner]))
+        err = np.max(np.abs(reconstructed[inner] - bump[inner]))
         assert err <= 1e-2 * np.max(np.abs(bump))
+
+
+class TestLagConvolve:
+    @pytest.mark.parametrize("m", [1, 3, 65, 1000, 4097])
+    def test_matches_direct_convolution(self, m):
+        # kernels of 2m - 1 lags, as the Green kernel; the FFT length is not
+        # a power of two for m = 3, 65 and 4097, and a period one shorter
+        # than 2m - 1 would fold the last output onto the first
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=m)
+        kernel = rng.normal(size=2 * m - 1)
+        want = np.convolve(a, kernel)[m - 1:2 * m - 1]
+        got = green._lag_convolve(a, kernel)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_fft_length(self):
+        smooth = sorted(2 ** a * 3 ** b for a in range(16) for b in range(10))
+        for n in range(1, 20000):
+            assert green._fft_length(n) == next(p for p in smooth if p >= n)
 
 
 class TestForcingTerms:
@@ -399,8 +426,7 @@ class TestForcingTerms:
         rho_half = np.where(p.values[c:] <= np.pi / 2, p.values[c:],
                             np.pi - p.values[c:])
         dev = np.concatenate([rho_half[:0:-1], rho_half]) - params.theta_h
-        applied = nw.apply_linearized_operator(FieldSamples(grid, dev), params)
-        resid = applied.values - terms.f_total.values
+        resid = apply_linearized_operator(dev, grid, params) - terms.f_total.values
         interior = (np.abs(grid.points) > 2 * grid.spacing) \
             & (np.abs(grid.points) < 0.9 * grid.half_length)
         assert np.max(np.abs(resid[interior])) <= 10 * 1e-6

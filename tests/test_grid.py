@@ -93,9 +93,12 @@ class TestReferenceProfile:
     def test_plateaus_h0(self):
         g = nw.make_grid(4.0, 128)
         ref = nw.reference_profile(g, nw.ModelParams(1.0, 0.0))
-        assert nw.interpolate(ref, 0.0) == pytest.approx(np.pi / 2, abs=0)
-        assert nw.interpolate(ref, 2.0) == 0.0
-        assert nw.interpolate(ref, -2.0) == pytest.approx(np.pi, abs=0)
+        # the samples at x = 0 and +-2
+        c, quarter = g.center_index, g.n_points // 4
+        assert g.points[[c - quarter, c, c + quarter]].tolist() == [-2.0, 0.0, 2.0]
+        assert ref.values[c] == np.pi / 2
+        assert ref.values[c + quarter] == 0.0
+        assert ref.values[c - quarter] == np.pi
 
     def test_plateaus_h_half(self):
         g = nw.make_grid(4.0, 128)
@@ -173,34 +176,6 @@ class TestLocalWall:
         for gaps in (energy_gaps, virial_gaps):
             for coarse, fine in zip(gaps, gaps[1:]):
                 assert 14.0 <= coarse / fine <= 18.0, gaps
-
-
-class TestInterpolate:
-    def setup_method(self):
-        self.grid = nw.make_grid(5.0, 64)
-        self.params = nw.ModelParams(1.0, 0.0)
-        self.profile = nw.reference_profile(self.grid, self.params)
-
-    @given(i=st.integers(0, 64))
-    @settings(max_examples=30, deadline=None)
-    def test_exact_at_nodes(self, i):
-        x = self.grid.points[i]
-        assert nw.interpolate(self.profile, x) == self.profile.values[i]
-
-    def test_midpoint_is_mean(self):
-        x = 0.5 * (self.grid.points[10] + self.grid.points[11])
-        expected = 0.5 * (self.profile.values[10] + self.profile.values[11])
-        assert nw.interpolate(self.profile, x) == pytest.approx(expected, rel=1e-15)
-
-    def test_outside_domain_raises(self):
-        with pytest.raises(ValueError):
-            nw.interpolate(self.profile, 5.1)
-        with pytest.raises(ValueError):
-            nw.interpolate(self.profile, -7.0)
-        with pytest.raises(ValueError):
-            nw.interpolate(self.profile, float("nan"))
-        with pytest.raises(ValueError):
-            nw.interpolate(self.profile, np.array([0.0, np.nan]))
 
 
 class TestSymmetricClass:

@@ -11,7 +11,7 @@ from neelwall.energy import ExpansionWork, LocalExpansion, clamp_values
 from neelwall.fractional import detrended, half_laplacian_spectral_values
 from neelwall.grid import mirror_left_half
 from neelwall.minimize import (_dirichlet_symbol, _even_period, _HalfLineExpansion, _inner,
-                               _precondition, _precondition_odd, _SolveWork, find_crossing)
+                               _precondition, _SolveWork, find_crossing)
 
 # the package attribute neelwall.minimize is the function, not the module
 minimize_module = sys.modules["neelwall.minimize"]
@@ -402,16 +402,22 @@ class TestHalfLineExpansion:
 
     @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
     def test_preconditioner_of_the_odd_extension(self, half_length, n_points, nu, h):
+        # the odd extension of the result stays odd (no odd-m sine modes), and
+        # the symbol applied to its sine coefficients gives back r's: rounding
+        # of relative size eps in the result grows by up to max/min symbol
         grid, params, _, _, half = self._symmetric_case(half_length, n_points, nu, h)
         symbol = _dirichlet_symbol(grid, params)
-        rng = np.random.default_rng(19)
         c = grid.center_index
-        r = odd_part(rng.normal(size=grid.n_samples))
+        r = odd_part(np.random.default_rng(19).normal(size=grid.n_samples))
         r[0] = r[-1] = 0.0
-        want = odd_part(_precondition(r, symbol))[c:]
-        got = _precondition_odd(r[c:].copy(), symbol, half.work, np.empty(c + 1))
-        assert got[0] == 0.0 and got[-1] == 0.0
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        got = _precondition(r[c:].copy(), symbol, half.work, np.empty(c + 1))
+        extension = np.concatenate([-got[:0:-1], got])
+        coeffs = scipy.fft.dst(extension[1:-1], type=1)   # entry i is mode m = i + 1
+        want = scipy.fft.dst(r[1:-1], type=1)[1::2]
+        assert np.max(np.abs(coeffs[0::2])) <= 1e-14 * np.max(np.abs(coeffs))
+        condition = symbol.max() / symbol.min()
+        assert (np.max(np.abs(coeffs[1::2] * symbol[1:-1] - want))
+                <= 1e-15 * condition * np.max(np.abs(want)))
 
     # the transforms stage their input from the right half; these pin the
     # staging to the whole-line routines bit for bit, not to a tolerance
@@ -434,15 +440,17 @@ class TestHalfLineExpansion:
         assert np.array_equal(half._half_laplacian(values, None), want)
 
     @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
-    def test_precondition_odd_is_the_right_half_exactly(self, half_length, n_points, nu, h):
+    def test_precondition_is_the_right_half_exactly(self, half_length, n_points, nu, h):
         grid, params, _, _, half = self._symmetric_case(half_length, n_points, nu, h)
         symbol = _dirichlet_symbol(grid, params)
         c = grid.center_index
         r = odd_part(np.random.default_rng(37).normal(size=grid.n_samples))
         r[0] = r[-1] = 0.0
-        want = _precondition(r, symbol)[c:]
-        want[0] = 0.0   # the whole line leaves rounding there; the half line pins it
-        got = _precondition_odd(r[c:].copy(), symbol, half.work, np.empty(c + 1))
+        # the whole line's transform: one length-n rfft of r's first n samples
+        # and zero at the end node, which lies past the period
+        want = np.append(np.fft.irfft(np.fft.rfft(r[:-1]) / symbol, n=grid.n_points)[c:], 0.0)
+        want[0] = 0.0   # the whole line leaves rounding at the center; the half line pins it
+        got = _precondition(r[c:].copy(), symbol, half.work, np.empty(c + 1))
         assert np.array_equal(got, want)
 
     def test_reused_work_matches_fresh_bit_for_bit(self):
@@ -464,8 +472,8 @@ class TestHalfLineExpansion:
         assert np.array_equal(reused.gradient(work.g), fresh.gradient())
         assert np.array_equal(reused.hessian_product(phi, work.hd), fresh.hessian_product(phi))
         assert reused.energy_change(v[c:] + 1e-3 * phi) == fresh.energy_change(v[c:] + 1e-3 * phi)
-        assert np.array_equal(_precondition_odd(phi, symbol, work, work.z),
-                              _precondition_odd(phi, symbol, fresh.work, np.empty(c + 1)))
+        assert np.array_equal(_precondition(phi, symbol, work, work.z),
+                              _precondition(phi, symbol, fresh.work, np.empty(c + 1)))
 
     @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
     def test_energy_change_is_the_whole_line_change(self, half_length, n_points, nu, h):
@@ -494,37 +502,44 @@ class TestHalfLineExpansion:
 
 
 class TestPrecondition:
-    # the solve preconditions only odd residuals, r[j] = -r[n - j]: their
-    # sine coefficients vanish at odd m, and mode m = 2m' has symbol[m']
+    # the solve preconditions the odd residuals r[j] = -r[n - j] by their
+    # right halves: their sine coefficients vanish at odd m, and mode
+    # m = 2m' has symbol[m']
 
-    @pytest.mark.parametrize("nu, h", [(0.1, 0.99), (1.0, 0.0), (10.0, 0.3)])
-    def test_matches_scipy_dst(self, nu, h):
-        grid = nw.make_grid(20.0, 512)
-        params = nw.ModelParams(nu, h)
-        symbol = _dirichlet_symbol(grid, params)
-        rng = np.random.default_rng(3)
-        r = odd_part(rng.normal(size=grid.n_samples))
+    @pytest.mark.parametrize("half_length, n_points, nu, h", HALF_LINE_CELLS)
+    def test_matches_scipy_dst(self, half_length, n_points, nu, h):
+        grid = nw.make_grid(half_length, n_points)
+        symbol = _dirichlet_symbol(grid, nw.ModelParams(nu, h))
+        c = grid.center_index
+        r = odd_part(np.random.default_rng(3).normal(size=grid.n_samples))
         r[0] = r[-1] = 0.0
         coeffs = scipy.fft.dst(r[1:-1], type=1)   # entry i is mode m = i + 1
         assert np.max(np.abs(coeffs[0::2])) <= 1e-14 * np.max(np.abs(coeffs))
         divided = np.zeros_like(coeffs)
         divided[1::2] = coeffs[1::2] / symbol[1:-1]
-        want = scipy.fft.idst(divided, type=1)
-        got = _precondition(r, symbol)
+        want = scipy.fft.idst(divided, type=1)[c:]   # the nodes c + 1 ... n - 1
+        got = _precondition(r[c:].copy(), symbol, _SolveWork(grid), np.full(c + 1, np.nan))
         assert got[0] == 0.0 and got[-1] == 0.0
         assert np.max(np.abs(got[1:-1] - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_buffered_forms_match_allocating(self):
+        # NaN in every work array and in out, with no expansion in between to
+        # overwrite them, so that a buffer read before it is written shows;
+        # r is left as it was
         grid = nw.make_grid(20.0, 512)
         symbol = _dirichlet_symbol(grid, nw.ModelParams(2.0, 0.5))
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=grid.n_samples)
-        r = odd_part(x)
-        r[0] = r[-1] = 0.0
-        out = np.full(grid.n_samples, np.nan)
-        spectrum = np.full(grid.n_points // 2 + 1, np.nan, dtype=complex)
-        assert np.array_equal(_precondition(r, symbol, out, spectrum),
-                              _precondition(r, symbol))
+        c = grid.center_index
+        r = odd_part(np.random.default_rng(5).normal(size=grid.n_samples))[c:]
+        r[-1] = 0.0
+        r_before = r.copy()
+        work = _SolveWork(grid)
+        for row in ([getattr(work, name) for name in _SolveWork.ROWS]
+                    + [getattr(work.full, name) for name in ExpansionWork.ROWS]
+                    + [work.full.real, work.full.spectrum]):
+            row.fill(np.nan)
+        got = _precondition(r, symbol, work, np.full(c + 1, np.nan))
+        assert np.array_equal(r, r_before)
+        assert np.array_equal(got, _precondition(r, symbol, _SolveWork(grid), np.zeros(c + 1)))
 
     # m' = 511 is the top even interior mode on 1024 points
     @pytest.mark.parametrize("m_half", [1, 2, 37, 255, 511])
@@ -532,10 +547,11 @@ class TestPrecondition:
         grid = nw.make_grid(20.0, 1024)
         params = nw.ModelParams(1.0, 0.3)
         symbol = _dirichlet_symbol(grid, params)
-        j = np.arange(grid.n_samples)
+        c = grid.center_index
+        j = np.arange(c, grid.n_samples)
         mode = np.sin(np.pi * 2 * m_half * j / grid.n_points)
         mode[0] = mode[-1] = 0.0
-        got = _precondition(mode, symbol)
+        got = _precondition(mode, symbol, _SolveWork(grid), np.empty(c + 1))
         # FFT rounding leaks ~eps sqrt(n) of the unit mode into the others,
         # which the smallest symbol divides least
         assert np.max(np.abs(got - mode / symbol[m_half])) <= 1e-13 / symbol.min()
