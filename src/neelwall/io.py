@@ -5,6 +5,14 @@ in it is a JSON scalar: floats in Python's shortest round-trip form, so each
 loads back bit-exactly, and null for NaN and the infinities, which strict
 JSON cannot hold.  A CSV cell is the JSON text of its scalar.  Output is
 deterministic: identical inputs produce byte-identical files.
+
+A solve result's profile lies in the symmetric class theta(-x) = pi -
+theta(x), exactly as grid.mirror_left_half leaves it, so its file holds only
+the right half, the n_points/2 + 1 samples at x = 0, ..., half_length, and
+the reader rebuilds the left half with that same function.  The writer
+refuses, with no file written, a profile whose center is not pi/2 or whose
+left half is not exactly what the mirror rebuilds from its right half.
+Files that hold the whole profile, as written before, still load.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from .analysis import SweepRow
 from .energy import EnergyBreakdown
-from .grid import ModelParams, Profile, make_grid
+from .grid import ModelParams, Profile, make_grid, mirror_left_half
 from .minimize import SolveResult
 
 _ENERGY_PARTS = tuple(f.name for f in fields(EnergyBreakdown))
@@ -33,13 +41,24 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
+def _right_half(values: np.ndarray) -> np.ndarray:
+    """The samples at x >= 0 of a profile that mirror_left_half rebuilds
+    exactly from them; any other profile is a ValueError."""
+    c = values.size // 2
+    if values[c] != np.pi / 2 or not np.array_equal(values[:c],
+                                                    np.pi - values[c + 1:][::-1]):
+        raise ValueError("a solve result's profile must lie exactly in the "
+                         "symmetric class theta(-x) = pi - theta(x)")
+    return values[c:]
+
+
 def result_to_dict(result: SolveResult) -> dict:
     p = result.profile
     return {
         "kind": "solve_result",
         "params": {"nu": p.params.nu, "h": p.params.h},
         "grid": {"half_length": p.grid.half_length, "n_points": p.grid.n_points},
-        "profile": p.values.tolist(),
+        "profile_right_half": _right_half(p.values).tolist(),
         "energy": {k: _finite_or_none(getattr(result.energy, k))
                    for k in _ENERGY_PARTS},
         **{k: _finite_or_none(getattr(result, k)) for k in _RESULT_SCALARS},
@@ -69,8 +88,9 @@ def emit(obj: Union[SolveResult, List[SweepRow]], format: str, path: str) -> Non
     an empty list is a table with a header and no rows.
 
     Raises:
-        ValueError: unsupported (object, format) combination, or a list
-            that holds anything but SweepRows.
+        ValueError: unsupported (object, format) combination, a list that
+            holds anything but SweepRows, or a solve result whose profile is
+            not exactly symmetric; no file is written.
         OSError: unwritable destination, message names the path.
     """
     if format not in ("json", "csv"):
@@ -94,6 +114,10 @@ def emit(obj: Union[SolveResult, List[SweepRow]], format: str, path: str) -> Non
 def load_result(path: str) -> SolveResult:
     """Reconstruct a SolveResult from its JSON form; bit-exact round trip.
 
+    The file holds either profile_right_half, whose first sample must be
+    pi/2 and whose left half is rebuilt by mirror_left_half, or the whole
+    profile as older files do; a file with both keys or neither is rejected.
+    The sample count is checked against n_points before any grid is built.
     Every profile sample must be a JSON number: a string, boolean or null
     sample is rejected, not converted.  Keys other than those result_to_dict
     writes are ignored, so older files that carry a tail amplitude load.
@@ -112,14 +136,31 @@ def load_result(path: str) -> SolveResult:
     if not isinstance(doc, dict) or doc.get("kind") != "solve_result":
         raise ValueError(f"{path!r} does not contain a solve result")
     try:
-        grid = make_grid(*(_load_cell(k, doc["grid"][k])
-                           for k in ("half_length", "n_points")))
+        half_length, n_points = (_load_cell(k, doc["grid"][k])
+                                 for k in ("half_length", "n_points"))
         params = ModelParams(*(_load_cell(k, doc["params"][k]) for k in ("nu", "h")))
-        samples = doc["profile"]
+        half = "profile_right_half" in doc
+        if half == ("profile" in doc):
+            raise ValueError("a solve result holds exactly one of "
+                             "profile_right_half and profile")
+        key = "profile_right_half" if half else "profile"
+        samples = doc[key]
+        c = n_points // 2 if half else 0
+        # checked before make_grid, which allocates n_points + 1 positions
+        if len(samples) != n_points + 1 - c:
+            raise ValueError(f"{key} holds {len(samples)} samples, expected "
+                             f"{n_points + 1 - c} for n_points = {n_points}")
+        grid = make_grid(half_length, n_points)
         if not set(map(type, samples)) <= {int, float}:
             i = next(i for i, s in enumerate(samples) if type(s) not in (int, float))
-            raise ValueError(f"profile[{i}] cannot hold {samples[i]!r}")
-        profile = Profile(grid, np.array(samples, dtype=float), params)
+            raise ValueError(f"{key}[{i}] cannot hold {samples[i]!r}")
+        if half and samples[0] != np.pi / 2:
+            raise ValueError(f"{key}[0] is {samples[0]!r}, not pi/2")
+        values = np.empty(grid.n_samples)
+        values[c:] = samples
+        if half:
+            mirror_left_half(values)
+        profile = Profile(grid, values, params)
         e = doc["energy"]
         energy = EnergyBreakdown(*(_load_cell(k, e[k]) for k in _ENERGY_PARTS))
         return SolveResult(profile, energy,

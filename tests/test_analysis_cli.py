@@ -38,6 +38,13 @@ def test_public_names_resolve_once():
     assert set(namespace) - {"__builtins__"} == set(nw.__all__)
 
 
+def skewed(result, index=100):
+    """`result` with one sample moved by 1e-9: off the symmetric class."""
+    v = result.profile.values.copy()
+    v[index] += 1e-9
+    return dataclasses.replace(result, profile=result.profile.with_values(v))
+
+
 # a coarse cell that converges (4 Newton steps) to a discrete wall rising by
 # about 1.7e-4 near both ends, so its tail cannot be analysed
 COARSE_CELL = dict(nu=1.0, h=0.0, half_length=20.0, n_points=16)
@@ -73,21 +80,13 @@ class TestVerify:
     @pytest.mark.parametrize("scalar", [float, np.float64])
     def test_tolerance_flags_follow_tol(self, small_solve, scalar):
         # a solve is exactly symmetric, so one sample is moved to give a defect
-        v = small_solve.profile.values.copy()
-        v[100] += 1e-9
-        skewed = nw.SolveResult(
-            profile=small_solve.profile.with_values(v),
-            energy=small_solve.energy,
-            residual_sup=small_solve.residual_sup,
-            iterations=small_solve.iterations,
-            converged=True,
-        )
-        defect = nw.verify(skewed).symmetry_defect
-        residual = skewed.residual_sup
+        moved = skewed(small_solve)
+        defect = nw.verify(moved).symmetry_defect
+        residual = moved.residual_sup
         assert defect > 0 and residual > 0
-        loose = nw.verify(skewed, scalar(max(residual, defect / 10)))
+        loose = nw.verify(moved, scalar(max(residual, defect / 10)))
         assert loose.symmetry_ok and loose.residual_ok
-        tight = nw.verify(skewed, scalar(min(residual, defect / 10) / 2))
+        tight = nw.verify(moved, scalar(min(residual, defect / 10) / 2))
         assert not tight.symmetry_ok and not tight.residual_ok
         # a numpy tol must not make a flag a numpy.bool
         for report in (loose, tight):
@@ -378,6 +377,14 @@ class TestEmitLoad:
         path.write_text(json.dumps(doc))
         return str(path)
 
+    @staticmethod
+    def _full_profile(values):
+        """An edit that gives a file the whole profile, as older files hold it."""
+        def edit(doc):
+            del doc["profile_right_half"]
+            doc["profile"] = values.tolist()
+        return edit
+
     def test_result_without_grid_rejected_naming_path(self, small_solve, tmp_path,
                                                       capsys):
         path = self._edited_result(small_solve, tmp_path / "nogrid.json",
@@ -406,13 +413,21 @@ class TestEmitLoad:
         with pytest.raises(ValueError, match="striter.json"):
             nw.load_result(path)
 
-    @pytest.mark.parametrize("sample", ["1.5707963267948966", True, None],
-                             ids=["string", "boolean", "null"])
+    @pytest.mark.parametrize("key, sample", [
+        ("profile_right_half", "1.5707963267948966"),
+        ("profile_right_half", True),
+        ("profile_right_half", None),
+        ("profile", "1.5707963267948966"),   # an older file's whole profile
+    ], ids=["string", "boolean", "null", "full-profile-string"])
     def test_result_non_number_sample_rejected_naming_path(self, small_solve,
-                                                           tmp_path, sample):
-        path = self._edited_result(small_solve, tmp_path / "badsample.json",
-                                   lambda doc: doc["profile"].__setitem__(5, sample))
-        pattern = rf"badsample\.json.*profile\[5\] cannot hold {re.escape(repr(sample))}"
+                                                           tmp_path, key, sample):
+        def edit(doc):
+            if key == "profile":
+                self._full_profile(small_solve.profile.values)(doc)
+            doc[key][5] = sample
+
+        path = self._edited_result(small_solve, tmp_path / "badsample.json", edit)
+        pattern = rf"badsample\.json.*{key}\[5\] cannot hold {re.escape(repr(sample))}"
         with pytest.raises(ValueError, match=pattern):
             nw.load_result(path)
 
@@ -431,10 +446,73 @@ class TestEmitLoad:
             nw.load_result(path)
 
     def test_result_huge_integer_rejected_naming_path(self, small_solve, tmp_path):
-        path = self._edited_result(small_solve, tmp_path / "hugeint.json",
-                                   lambda doc: doc["profile"].__setitem__(5, 10 ** 400))
+        path = self._edited_result(
+            small_solve, tmp_path / "hugeint.json",
+            lambda doc: doc["profile_right_half"].__setitem__(5, 10 ** 400))
         with pytest.raises(ValueError, match="hugeint.json"):
             nw.load_result(path)
+
+    @pytest.mark.parametrize("key", ["profile_right_half", "profile"])
+    def test_huge_n_points_rejected_before_any_grid(self, small_solve, tmp_path,
+                                                    capsys, key):
+        # make_grid(20, 10**13) raises MemoryError at once (72.8 TiB of
+        # positions); the sample count is checked against n_points first
+        def edit(doc):
+            if key == "profile":
+                self._full_profile(small_solve.profile.values)(doc)
+            doc["grid"]["n_points"] = 10 ** 13
+
+        path = self._edited_result(small_solve, tmp_path / "hugegrid.json", edit)
+        pattern = rf"hugegrid\.json.*{key} holds \d+ samples, expected"
+        with pytest.raises(ValueError, match=pattern):
+            nw.load_result(path)
+        assert main(["verify", "--in", path]) == 1
+        assert "hugegrid.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values", ["symmetric", "skewed"])
+    def test_full_profile_file_loads_bit_exactly(self, small_solve, tmp_path, values):
+        # files written before the right-half format hold the whole profile;
+        # the older reader loaded any profile, so an asymmetric one loads too
+        result = small_solve if values == "symmetric" else skewed(small_solve)
+        path = self._edited_result(small_solve, tmp_path / "full.json",
+                                   self._full_profile(result.profile.values))
+        loaded = nw.load_result(path)
+        assert np.array_equal(loaded.profile.values, result.profile.values)
+        assert loaded.profile.grid == result.profile.grid
+        assert loaded.energy == result.energy
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(profile=[0.0] * 513),
+        lambda doc: doc.pop("profile_right_half"),
+        lambda doc: doc["profile_right_half"].pop(),
+        lambda doc: doc["profile_right_half"].__setitem__(0, 1.5707963267948963),
+    ], ids=["both-keys", "neither-key", "short-right-half", "center-off-pi/2"])
+    def test_malformed_profile_rejected_naming_path(self, small_solve, tmp_path,
+                                                    edit):
+        path = self._edited_result(small_solve, tmp_path / "badprofile.json", edit)
+        with pytest.raises(ValueError, match="badprofile.json"):
+            nw.load_result(path)
+
+    @pytest.mark.parametrize("index", [100, 256], ids=["sample", "center"])
+    def test_emit_refuses_a_profile_off_the_symmetric_class(self, small_solve,
+                                                            tmp_path, index):
+        path = tmp_path / "moved.json"
+        with pytest.raises(ValueError, match="symmetric class"):
+            nw.emit(skewed(small_solve, index), "json", str(path))
+        assert not path.exists()
+
+    def test_every_digest_cell_round_trips(self, tmp_path):
+        # emit never refuses a solver result, and load_result gives it back
+        script = Path(__file__).resolve().parents[1] / "scripts" / "solve_digest.py"
+        path = tmp_path / "wall.json"
+        for nu, h, half_length, n_points in runpy.run_path(str(script))["CELLS"]:
+            result = nw.solve_cell(nu, h, None, half_length, n_points)
+            nw.emit(result, "json", str(path))
+            loaded = nw.load_result(str(path))
+            assert np.array_equal(loaded.profile.values, result.profile.values)
+            assert loaded.energy == result.energy
+            assert (loaded.residual_sup, loaded.iterations, loaded.converged) == (
+                result.residual_sup, result.iterations, result.converged)
 
     def test_result_loads_onto_shared_grid(self, baseline, tmp_path):
         path = tmp_path / "result.json"
@@ -516,7 +594,12 @@ class TestEmitLoad:
         doc = json.loads(path.read_text())
         assert doc["kind"] == "solve_result"
         assert doc["params"]["nu"] == 1.0
-        assert len(doc["profile"]) == small_solve.profile.grid.n_samples
+        assert list(doc) == ["kind", "params", "grid", "profile_right_half", "energy",
+                             "residual_sup", "iterations", "converged"]
+        right_half = doc["profile_right_half"]
+        assert len(right_half) == small_solve.profile.grid.n_points // 2 + 1
+        assert right_half[0] == math.pi / 2
+        assert right_half == small_solve.profile.values[256:].tolist()
 
     def test_nan_serialized_as_null(self, small_solve, tmp_path):
         clone = nw.SolveResult(
