@@ -106,7 +106,9 @@ _shared_grids = lru_cache(maxsize=8)(lambda grid: grid)
 
 
 def make_grid(half_length: float, n_points: int) -> Grid1D:
-    """Build a symmetric uniform grid; one shared Grid1D per equal grid.
+    """Build a symmetric uniform grid, shared with recent equal ones: a grid
+    equal to one of the last eight distinct grids asked for is that object,
+    with its per-grid arrays; an older one is built anew.
 
     The grid is built, and so checked, on every call: the cache is keyed by
     the grid, because the arguments 64 and 64.0, or 1.0 and True, hash alike.

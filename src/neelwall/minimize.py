@@ -34,8 +34,16 @@ pointwise formulas of `energy.LocalExpansion`.  The direction comes from a
 truncated preconditioned CG on the exact Hessian of the discrete energy,
 stopped at the forcing tolerance min(1/10, ||g||^(1/2)) ||g|| (Eisenstat
 and Walker 1996; a cap of 1/2 took 7 steps where 1/10 takes 5 from the
-reference start at the baseline cell) or at the first direction of
-negative curvature (Steihaug 1983).  The preconditioner
+reference start at the baseline cell), but never below the gradient's
+rounding floor, or at the first direction of negative curvature (Steihaug
+1983).  The floor is 4 eps sqrt(2 half_length) / s^2, the whole-line norm
+of a gradient error at the sup-norm floor 4-5 eps / s^2 that ROADMAP.md
+item 4 measured for residual_sup: CG's recurred residual stands for
+H p + g only to about that, so products below it do not improve the
+direction.  It binds on the last steps of fine grids and tight
+tolerances: 9 products in place of 10 at N = 16384, 20 in place of 27 at
+nu = 10, h = 0.5, L = 80, N = 8192, 12 in place of 21 at the baseline
+cell with tol = 1e-11, each with no more Newton steps.  The preconditioner
 is the linearized wall operator with Dirichlet ends, diagonal in the sine
 modes sin(pi m j / n) of the interior nodes of the whole line:
 
@@ -84,6 +92,11 @@ ARMIJO_SLOPE_FRACTION = 1e-4
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 40
 CG_MAX_ITER = 50   # Hessian products per Newton direction
+# The interior gradient's rounding floor in sup-norm, in units of eps / s^2:
+# ROADMAP.md item 4 measured the residual_sup floor at (nu, h) = (1, 0),
+# L = 40 as 2.4e-12, 4.3e-11 and 7.8e-10 at N = 4096, 16384 and 65536, that
+# is 4.1, 4.6 and 5.2 eps / s^2, the rounding of the second difference.
+GRADIENT_FLOOR_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -240,17 +253,20 @@ def _newton_direction(g, expansion, symbol):
     """Truncated PCG on H p = -g for the right half g of the odd gradient
     of `expansion`.
 
-    Stops when the residual falls below the forcing tolerance, at the
-    iteration cap, or on a direction of negative curvature: then the
-    current iterate is returned, or the preconditioned gradient step if
-    there is none yet.  The grid spacing and the work arrays are the
+    Stops when the residual falls below the forcing tolerance or the
+    gradient's rounding floor, whichever is larger, at the iteration cap,
+    or on a direction of negative curvature: then the current iterate is
+    returned, or the preconditioned gradient step if there is none yet.  The grid spacing and the work arrays are the
     expansion's (its work is the solve's `_SolveWork`); the result is the
     right half of an odd descent direction, held in one of those arrays.
     """
     spacing, work = expansion.grid.spacing, expansion.work
     p, r, d, z, hd, tmp = work.p, work.r, work.d, work.z, work.hd, work.tmp0
     g_norm = math.sqrt(_inner(g, g, spacing, tmp))
-    target = min(0.1, math.sqrt(g_norm)) * g_norm
+    # the whole-line norm of a gradient error at the floor: no residual below it is resolved
+    floor = (GRADIENT_FLOOR_FACTOR * np.finfo(float).eps
+             * math.sqrt(2.0 * expansion.grid.half_length) / spacing ** 2)
+    target = max(min(0.1, math.sqrt(g_norm)) * g_norm, floor)
     p.fill(0.0)
     np.copyto(r, g)   # residual H p + g
     _precondition(r, symbol, work, z)

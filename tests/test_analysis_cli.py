@@ -2,8 +2,10 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import re
 import runpy
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -715,6 +717,18 @@ class TestCli:
         assert code == 2
         assert "error: fundamental-solution quadrature did not converge" \
             in capsys.readouterr().err
+
+    def test_green_rejects_nu_beyond_the_checked_range(self):
+        # through the interpreter: an error line and no traceback, where
+        # (nu c)^2 overflowed before
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "neelwall.cli", "green", "--nu", "1e300"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: nu cos(theta_h) = 1e+300 is above 1e+15")
+        assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("xmax", ["inf", "nan"])
     def test_green_rejects_non_finite_x(self, xmax, capsys):

@@ -228,6 +228,31 @@ class TestGreenSamples:
         with pytest.raises(ValueError, match="x must be finite"):
             nw.green_values(np.array([1.0, bad]), nw.ModelParams(nu, 0.0))
 
+    @pytest.mark.parametrize("h", [0.0, 0.9])
+    def test_every_value_finite_or_refused(self, h):
+        # above nu c = 1e15 the quadrature cannot check the closed form, whose
+        # values were NaN from about nu c = 1e77 and an OverflowError from
+        # about 1e154; the closed form and the quadrature below 1e-5 are finite
+        xs = np.array([0.0, 1e-6, 1.0, 1e4])
+        for nu in 10.0 ** np.arange(-6.0, 308.0, 2.0):
+            params = nw.ModelParams(nu, h)
+            if nu * params.cos_theta_h > 1e15:
+                with pytest.raises(ValueError, match=r"above 1e\+15"):
+                    nw.green_values(xs, params)
+            else:
+                g = nw.green_values(xs, params)
+                assert np.all(np.isfinite(g)) and np.all(g > 0.0), nu
+
+    def test_largest_nu_c_matches_quadrature(self):
+        # nu c = 1e15 is the largest accepted; one ulp above is refused
+        xs = np.array([0.0, 1e-6, 1e-3, 1.0, 100.0])
+        params = nw.ModelParams(1e15, 0.0)
+        got = nw.green_values(xs, params)
+        want = np.array([nw.green_quadrature(x, params) for x in xs])
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+        with pytest.raises(ValueError, match="nu cos"):
+            nw.green_values(xs, nw.ModelParams(np.nextafter(1e15, np.inf), 0.0))
+
 
 class TestPoleIntegral:
     """_pole_integral against scipy.special.exp1, on rays through the first

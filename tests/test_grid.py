@@ -36,6 +36,17 @@ class TestMakeGrid:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
+    def test_shared_among_the_last_eight_distinct_grids(self):
+        g = nw.make_grid(3.0, 64)
+        for k in range(7):
+            nw.make_grid(4.0 + k, 64)
+        assert nw.make_grid(3.0, 64) is g
+        # asking for g again made it the most recent; eight others push it out
+        for k in range(8):
+            nw.make_grid(4.0 + k, 128)
+        rebuilt = nw.make_grid(3.0, 64)
+        assert rebuilt == g and rebuilt is not g
+
     def test_rejects_odd_count(self):
         # and fewer than 4 points, a bool or a float count, built either way
         for build in (nw.make_grid, nw.Grid1D):

@@ -351,6 +351,48 @@ class TestMinimize:
         assert result.energy.total < 1e-2
 
 
+# (nu, h, L, N, tol) cells near the gradient's rounding floor, about 4 eps/s^2
+NEAR_FLOOR_CELLS = [
+    (1.0, 0.0, 40.0, 4096, 1e-11), (1.0, 0.0, 40.0, 4096, 3e-12),
+    (1.0, 0.0, 40.0, 16384, 1e-10), (1.0, 0.0, 40.0, 65536, 1e-9),
+    (10.0, 0.5, 80.0, 8192, 1e-10), (0.1, 0.99, 80.0, 8192, 1e-10),
+    (2.0, 0.9, 80.0, 8192, 3e-11), (5.0, 0.3, 160.0, 16384, 1e-10),
+]
+
+
+class TestGradientFloor:
+    """CG stops at the whole-line norm of a gradient error at the rounding
+    floor when the forcing tolerance lies below it."""
+
+    @pytest.mark.parametrize("cell, tol, max_products", [
+        ((10.0, 0.5, 80.0, 8192), None, 20),
+        ((1.0, 0.0, 40.0, 4096), 1e-11, 13),
+    ], ids=["10-0.5-default-tol", "1-0-tol-1e-11"])
+    def test_no_products_below_the_floor(self, monkeypatch, cell, tol, max_products):
+        # 27 and 21 products when CG ran on to the forcing tolerance
+        hessian_product = LocalExpansion.hessian_product
+        products = []
+
+        def counted(self, *args):
+            products.append(None)
+            return hessian_product(self, *args)
+
+        monkeypatch.setattr(LocalExpansion, "hessian_product", counted)
+        opts = nw.SolveOptions() if tol is None else nw.SolveOptions(tol=tol)
+        result = nw.solve_cell(*cell[:2], opts, *cell[2:])
+        assert result.converged
+        assert len(products) <= max_products
+        expected = nw.solve_cell(*cell[:2], nw.SolveOptions(tol=1e-9), *cell[2:])
+        assert result.energy.total == pytest.approx(expected.energy.total, rel=1e-13)
+
+    @pytest.mark.parametrize("nu, h, half_length, n_points, tol", NEAR_FLOOR_CELLS)
+    def test_tight_tolerance_still_reached(self, nu, h, half_length, n_points, tol):
+        # a floor set too high would end these solves short of their tol
+        result = nw.solve_cell(nu, h, nw.SolveOptions(tol=tol), half_length, n_points)
+        assert result.converged
+        assert result.residual_sup <= tol
+
+
 # (L, N) x (nu, h) cells on which the half-line expansion is compared with
 # the whole-line LocalExpansion
 HALF_LINE_CELLS = [(half_length, n_points, nu, h)
