@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -118,16 +122,27 @@ class SweepRow:
 
 def solve_cell(nu: float, h: float, opts: Optional[SolveOptions] = None,
                half_length: float = DEFAULT_HALF_LENGTH,
-               n_points: int = DEFAULT_N_POINTS) -> SolveResult:
+               n_points: int = DEFAULT_N_POINTS, *,
+               executor: Optional[Executor] = None) -> SolveResult:
     """One independent wall solve started at the nu = 0 wall
     (`grid.local_wall`): the SolveResult of minimize, with no tail analysis
-    (verify does that)."""
+    (verify does that).
+
+    With an `executor`, the start and the solve run there (`sweep` passes
+    its worker processes) and the call returns their SolveResult, or raises
+    their exception."""
+    if executor is None:
+        return _solve(nu, h, opts, half_length, n_points)
+    return executor.submit(_solve, nu, h, opts, half_length, n_points).result()
+
+
+def _solve(nu, h, opts, half_length, n_points):
     return minimize(local_wall(make_grid(half_length, n_points), ModelParams(nu, h)), opts)
 
 
-def _row_for(nu: float, h: float, opts: SolveOptions,
-             half_length: float, n_points: int) -> SweepRow:
-    result = solve_cell(nu, h, opts, half_length, n_points)
+def _row_for(nu: float, h: float, opts: SolveOptions, half_length: float,
+             n_points: int, executor: Optional[Executor] = None) -> SweepRow:
+    result = solve_cell(nu, h, opts, half_length, n_points, executor=executor)
     params = result.profile.params
     d = verify(result).decay if result.converged else None
     return SweepRow(nu=params.nu, h=params.h, energy_total=result.energy.total,
@@ -143,6 +158,65 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_pool_state = threading.Condition()
+_pool = None      # (pid that made it, size, executor): the worker processes
+_pool_users = 0   # sweeps running on _pool, which is replaced only when none is
+
+
+def _forks_workers() -> bool:
+    """Whether a sweep here may fork worker processes: on Linux, where fork
+    is safe and the default (spawned or forkserver workers re-import
+    __main__, which kills a script without a main guard), and not in a
+    process that multiprocessing started, which is already one worker of a
+    parallel job (and, daemonic, may start none)."""
+    if sys.platform != "linux":
+        return False
+    # imported here, not at the top: loaded at import, multiprocessing and
+    # the process pool raise every process's peak RSS by 1.4 MB
+    import multiprocessing
+    return multiprocessing.parent_process() is None
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int) -> Iterator[Executor]:
+    """This process's pool of at least `workers` forked worker processes,
+    held for one sweep.
+
+    Made on first use, and again with more workers when a sweep needs them,
+    once no sweep runs on the old one; shut down at interpreter exit, so no
+    worker outlives it.  Every worker is forked before the pool is handed
+    out, so before the sweep starts a thread, and sees the caller's modules
+    as they were then.
+    """
+    global _pool, _pool_users
+    with _pool_state:
+        if _pool is not None and _pool[0] != os.getpid():
+            # a forked child's copy of its parent's pool: waiting on it would
+            # hang, and shutting it down is the parent's
+            atexit.unregister(_pool[2].shutdown)
+            _pool, _pool_users = None, 0
+        while _pool is not None and _pool[1] < workers and _pool_users:
+            _pool_state.wait()
+        if _pool is None or _pool[1] < workers:
+            import multiprocessing
+            from concurrent.futures.process import ProcessPoolExecutor
+            if _pool is not None:
+                atexit.unregister(_pool[2].shutdown)
+                _pool[2].shutdown()
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+            atexit.register(pool.shutdown)
+            pool.submit(int).result()   # with fork, the first task forks every worker
+            _pool = (os.getpid(), workers, pool)
+        _pool_users += 1
+        pool = _pool[2]
+    try:
+        yield pool
+    finally:
+        with _pool_state:
+            _pool_users -= 1
+            _pool_state.notify_all()
+
+
 def sweep(nu_values: Sequence[float], h_values: Sequence[float],
           opts: Optional[SolveOptions] = None,
           half_length: float = DEFAULT_HALF_LENGTH,
@@ -151,12 +225,16 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
     """Solve every (nu, h) cell independently: one row per cell,
     lexicographic in the inputs.
 
-    Cells run on at most one thread per CPU this process may use when
-    `parallel` is set, on one thread otherwise; the solves are pure, so both
-    give identical rows.  A converged row's amplitudes are those of
-    verify(result).decay.  A row records a cell that did not converge or
-    whose wall fails the decay preconditions (NaN width and amplitudes); any
-    other exception of a cell propagates.
+    With `parallel` set, at least two cells and two CPUs this process may
+    use, and where `_forks_workers`, cells run on `_worker_pool`'s forked
+    processes, one per CPU at most: caller threads, two per worker, each
+    hand a cell's `solve_cell` to the pool and build its row from the
+    returned solve.  Otherwise the cells run one after another in the
+    calling thread.  The solves are pure and a worker's SolveResult pickles
+    bit for bit, so both give identical rows.  A converged row's amplitudes
+    are those of verify(result).decay.  A row records a cell that did not
+    converge or whose wall fails the decay preconditions (NaN width and
+    amplitudes); any other exception of a cell propagates.
 
     Raises:
         ValueError: an invalid grid or one with half_length < 2, or a (nu, h)
@@ -166,9 +244,10 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
     cells = [(nu, h) for nu in sorted(nu_values) for h in sorted(h_values)]
     for nu, h in cells:
         ModelParams(nu, h)   # and on an invalid cell
-    if not cells:
-        return []
     workers = min(len(cells), _usable_cpus()) if parallel else 1
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            lambda c: _row_for(c[0], c[1], opts, half_length, n_points), cells))
+    if workers < 2 or not _forks_workers():
+        return [_row_for(nu, h, opts, half_length, n_points) for nu, h in cells]
+    with (_worker_pool(workers) as pool,
+          ThreadPoolExecutor(max_workers=min(len(cells), 2 * workers)) as threads):
+        return list(threads.map(
+            lambda c: _row_for(c[0], c[1], opts, half_length, n_points, pool), cells))

@@ -10,7 +10,7 @@ monodomain angles pi - theta_h (left) and theta_h (right) at the boundary.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -60,6 +60,11 @@ class Grid1D:
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "points", _read_only(spacing * (np.arange(n + 1) - n // 2)))
+
+    def __reduce__(self):
+        # through make_grid: a pickle carries no cached array, and an
+        # unpickled grid is the shared one, read-only like any other
+        return make_grid, (self.half_length, self.n_points)
 
     @property
     def n_samples(self) -> int:
@@ -156,7 +161,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class FieldSamples:
-    """Samples of a scalar field on the grid's n_points + 1 positions."""
+    """Samples of a scalar field on the grid's n_points + 1 positions.
+
+    Pickled through the constructor, so an unpickled one is checked anew
+    and its values are read-only, as a built one's are."""
 
     grid: Grid1D
     values: np.ndarray
@@ -168,6 +176,9 @@ class FieldSamples:
                 f"values must have length {self.grid.n_samples}, got {v.shape}"
             )
         object.__setattr__(self, "values", _read_only(v.copy()))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)

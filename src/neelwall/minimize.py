@@ -62,8 +62,10 @@ tolerance the solve takes one more Newton step, which costs a few Hessian
 products and takes the energy from about tol^2 to far below it.  That
 iterate, or the last one when the step budget runs out or the line search
 stalls, is expanded once on the whole line: the sup-norm of that gradient
-is the reported residual and decides the stop.  Every work array lives in
-one `_SolveWork` per solve.
+is the reported residual and decides the stop.  The solve also stalls
+when an accepted step moves no sample by more than an ulp of pi/2, which
+only a tol below the gradient's rounding floor reaches.  Every work array
+lives in one `_SolveWork` per solve.
 """
 
 from __future__ import annotations
@@ -97,6 +99,14 @@ CG_MAX_ITER = 50   # Hessian products per Newton direction
 # L = 40 as 2.4e-12, 4.3e-11 and 7.8e-10 at N = 4096, 16384 and 65536, that
 # is 4.1, 4.6 and 5.2 eps / s^2, the rounding of the second difference.
 GRADIENT_FLOOR_FACTOR = 4.0
+# An accepted step that moves no sample by more than one ulp of pi/2
+# (2.2e-16) ends the solve as stalled.  Below the rounding floor the steps
+# shrink through 1e-16 to single ulps of the tail samples (9e-19 at
+# (nu, h) = (1, 0), L = 40, N = 65536, tol = 1e-10), each lowering the
+# energy by about 1e-32, so the line search alone never stalls; a solve
+# that converges takes no step under 1e-13 near the floor, 2.7e-11 at the
+# default tol.
+MIN_STEP = float(np.spacing(np.pi / 2))
 
 
 @dataclass(frozen=True)
@@ -330,7 +340,8 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
     and centered: values[c] == pi/2 and values + values[::-1] == pi.
     `converged` reports whether the interior gradient sup-norm of that
     profile reached opts.tol.  Non-convergence, including a line search
-    that stalls, is reported through the flag, never raised.
+    that stalls or a step of at most MIN_STEP, is reported through the flag,
+    never raised.
     """
     if opts is None:
         opts = SolveOptions()
@@ -363,9 +374,12 @@ def minimize(initial: Profile, opts: Optional[SolveOptions] = None) -> SolveResu
         trial = _line_search(expansion, p, _inner(g, p, grid.spacing, work.tmp0))
         stalled = trial is None
         if not stalled:
+            trial = clamp_values(trial, params, trial)
+            step = np.subtract(trial, work.v, out=work.tmp0)
+            stalled = float(np.max(np.abs(step, out=step))) <= MIN_STEP
             # the accepted trial's row becomes the iterate, the old iterate's
             # row takes the next step's trials (p is zero at both ends: the pins hold)
-            work.v, work.trial = clamp_values(trial, params, trial), work.v
+            work.v, work.trial = trial, work.v
             iterations += 1
 
     profile = Profile(grid, full.tmp2, params)

@@ -2,12 +2,14 @@ import dataclasses
 import inspect
 import json
 import math
+import multiprocessing
 import os
 import re
 import runpy
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +145,11 @@ class TestUnanalysedTail:
             nw.sweep([1.0], [0.0], opts=5, half_length=20.0, n_points=64,
                      parallel=parallel)
 
+    def test_programming_error_propagates_from_a_worker(self):
+        # two cells: on the worker processes, where one is
+        with pytest.raises(AttributeError):
+            nw.sweep([1.0, 2.0], [0.0], opts=5, half_length=20.0, n_points=64)
+
     @pytest.mark.parametrize("half_length, n_points",
                              [(2.0, 4), (2.0, 8), (4.0, 8), (20.0, 16)])
     def test_edge_cells_give_finite_rows(self, half_length, n_points):
@@ -229,6 +236,9 @@ class TestSweep:
 
 
     def test_parallel_workers_capped_and_one_decay_per_row(self, monkeypatch):
+        # worker processes solve, two caller threads per worker wait on them
+        # and build the rows, each with its one tail report
+        cpus = analysis._usable_cpus()
         threads, decays = set(), []
         row_for, decay = analysis._row_for, analysis.decay_amplitude
 
@@ -245,8 +255,131 @@ class TestSweep:
         monkeypatch.setattr(analysis, "decay_amplitude", counting_decay)
         rows = nw.sweep([0.5, 1.0], [0.0, 0.2], half_length=20.0, n_points=256)
         assert all(r.converged for r in rows)
-        assert 1 <= len(threads) <= 2
+        assert 1 <= len(multiprocessing.active_children()) <= max(cpus, 2)
+        assert threading.get_ident() not in threads
+        assert 1 <= len(threads) <= 2 * 2
         assert len(decays) == len(rows)
+
+    @pytest.mark.parametrize("cells, opts", [
+        (((0.1, 1.0, 10.0), (0.0, 0.3, 0.99), 20.0, 512), None),
+        (((0.1, 1.0, 10.0), (0.0, 0.3, 0.99), 20.0, 512), nw.SolveOptions(max_iter=1)),
+        (((0.5, COARSE_CELL["nu"]), (COARSE_CELL["h"],), COARSE_CELL["half_length"],
+          COARSE_CELL["n_points"]), None),
+    ], ids=["3x3", "3x3-unconverged", "coarse-nan-tails"])
+    def test_processes_give_the_serial_rows_and_solves(self, monkeypatch, cells, opts):
+        nus, hs, half_length, n_points = cells
+        solves = {True: {}, False: {}}
+        solve_cell = analysis.solve_cell
+
+        def kept(*args, **kwargs):
+            result = solve_cell(*args, **kwargs)
+            solves[kwargs["executor"] is not None][args[:2]] = result
+            return result
+
+        monkeypatch.setattr(analysis, "solve_cell", kept)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)   # two workers at least
+        tables = [nw.sweep(nus, hs, opts, half_length, n_points, parallel=parallel)
+                  for parallel in (True, False)]
+        assert len(solves[True]) == len(solves[False]) == len(nus) * len(hs)
+        for parallel, serial in zip(*tables):
+            np.testing.assert_array_equal(dataclasses.astuple(parallel),
+                                          dataclasses.astuple(serial))
+        if opts is not None:
+            assert not any(row.converged for row in tables[0])
+        if n_points == COARSE_CELL["n_points"]:
+            assert all(math.isnan(row.wall_width) for row in tables[0])
+        for cell, result in solves[False].items():
+            other = solves[True][cell]
+            assert np.array_equal(other.profile.values, result.profile.values)
+            assert (other.energy, other.residual_sup, other.iterations, other.converged) \
+                == (result.energy, result.residual_sup, result.iterations, result.converged)
+
+    def test_concurrent_sweeps_share_and_grow_the_pool(self, monkeypatch):
+        # the three-cell sweeps need a larger pool than the two-cell ones
+        # run on; it replaces theirs only once none runs on it
+        monkeypatch.setattr(analysis, "_pool", None)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 3)
+        kwargs = dict(half_length=20.0, n_points=256)
+        cases = [([0.5, 1.0], [0.0]), ([0.5, 1.0, 2.0], [0.0])] * 4
+        expected = [nw.sweep(*case, parallel=False, **kwargs) for case in cases]
+        nw.sweep(*cases[0], **kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(cases)) as threads:
+                tables = list(threads.map(lambda case: nw.sweep(*case, **kwargs), cases))
+        finally:
+            sys.setswitchinterval(interval)
+            if analysis._pool is not None:
+                analysis._pool[2].shutdown()   # made here; monkeypatch restores the old one
+        assert tables == expected
+        assert analysis._pool[1] == 3 and analysis._pool_users == 0
+
+    def test_sweeps_in_child_processes(self):
+        # a child forked after a sweep makes its own pool, where it would
+        # wait for ever on its parent's; a process multiprocessing started
+        # sweeps serially, where daemonic it could fork no worker and
+        # otherwise its exit would wait on workers never shut down
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD_SWEEPS],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.split() == ["forked", "0", "pool", "True", "executor", "True"]
+
+    def test_sweep_script_leaves_no_process_behind(self):
+        # an unguarded script, warnings as errors: its workers are forked,
+        # so nothing re-runs it, and they are gone when it exits
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = ("import neelwall as nw; "
+                "nw.sweep([0.5, 1], [0, 0.2], half_length=20, n_points=256)")
+        command = [sys.executable, "-W", "error", "-c", code]
+        out = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0
+        assert out.stderr == ""
+        # a surviving worker would keep the output pipes open, and run() waiting;
+        # its command line is its parent's
+        proc = Path("/proc")
+        if proc.is_dir():
+            cmdline = "\0".join(command).encode() + b"\0"
+            for path in proc.glob("[0-9]*/cmdline"):
+                try:
+                    assert path.read_bytes() != cmdline, path
+                except OSError:   # gone in between
+                    pass
+        bare = subprocess.run(
+            [sys.executable, "-c", "import sys, neelwall; "
+             "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
+             "'concurrent.futures.process'))))"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert bare.stdout == "[]\n"
+
+
+_CHILD_SWEEPS = """
+import multiprocessing, os, signal
+from concurrent.futures import ProcessPoolExecutor
+import neelwall as nw
+
+def table():
+    return nw.sweep([0.5, 1], [0, 0.2], half_length=20, n_points=256)
+
+want = table()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    # os._exit: a normal exit would have multiprocessing join the parent's
+    # workers, which are no children of this process
+    same = table() == want
+    nw.analysis._pool[2].shutdown()
+    os._exit(0 if same else 1)
+print("forked", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+fork = multiprocessing.get_context("fork")
+with fork.Pool(1) as pool:
+    print("pool", pool.apply_async(table).get(timeout=60) == want)
+with ProcessPoolExecutor(1, fork) as executor:
+    print("executor", executor.submit(table).result(timeout=60) == want)
+"""
 
 
 class TestEmitLoad:

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import sys
 
 import numpy as np
@@ -51,6 +52,22 @@ class TestSolveResult:
         assert names == ("profile", "energy", "residual_sup", "iterations", "converged")
         with pytest.raises(dataclasses.FrozenInstanceError):
             baseline.iterations = 0
+
+    def test_pickles_through_the_constructors(self):
+        # how a sweep's worker process returns it: without the grid's cached
+        # arrays (328,599 bytes here when they rode along), read-only, and on
+        # the shared grid
+        result = nw.solve_cell(1.0, 0.0, None, 80.0, 8192)
+        data = pickle.dumps(result)
+        back = pickle.loads(data)
+        assert len(data) < 1.1 * result.profile.values.nbytes
+        assert np.array_equal(back.profile.values, result.profile.values)
+        assert back.profile.params == result.profile.params
+        assert back.energy == result.energy
+        assert (back.residual_sup, back.iterations) == (result.residual_sup, result.iterations)
+        assert not back.profile.values.flags.writeable
+        assert not back.profile.grid.points.flags.writeable
+        assert back.profile.grid is nw.make_grid(80.0, 8192)
 
 
 class TestMinimize:
@@ -384,6 +401,13 @@ class TestGradientFloor:
         assert len(products) <= max_products
         expected = nw.solve_cell(*cell[:2], nw.SolveOptions(tol=1e-9), *cell[2:])
         assert result.energy.total == pytest.approx(expected.energy.total, rel=1e-13)
+
+    def test_tolerance_below_the_floor_stalls_early(self):
+        # each step moved single ulps of the tail samples and lowered the
+        # energy by about 1e-32, so the solve ran its whole budget of 100
+        result = nw.solve_cell(1.0, 0.0, nw.SolveOptions(tol=1e-10), 40.0, 65536)
+        assert not result.converged
+        assert result.iterations <= 20
 
     @pytest.mark.parametrize("nu, h, half_length, n_points, tol", NEAR_FLOOR_CELLS)
     def test_tight_tolerance_still_reached(self, nu, h, half_length, n_points, tol):
