@@ -159,8 +159,9 @@ def _usable_cpus() -> int:
 
 
 _pool_state = threading.Condition()
-_pool = None      # (pid that made it, size, executor): the worker processes
-_pool_users = 0   # sweeps running on _pool, which is replaced only when none is
+_pool = None      # (size, executor): the worker processes
+_pool_users = 0   # sweeps running on a pool; _pool grows only when none is
+_fork_hooked = False   # whether forked children run _forget_pool
 
 
 def _forks_workers() -> bool:
@@ -177,40 +178,66 @@ def _forks_workers() -> bool:
     return multiprocessing.parent_process() is None
 
 
+def _forget_pool():
+    """In a child forked from a process that made a pool: the parent's pool
+    and workers are not the child's to use, join or shut down, so the
+    child's first sweep makes its own pool (waiting on the parent's would
+    hang) and its exit leaves the parent's workers alone."""
+    global _pool, _pool_users
+    import multiprocessing.process
+    if _pool is not None:
+        atexit.unregister(_pool[1].shutdown)
+    _pool, _pool_users = None, 0
+    # private: the processes multiprocessing joins at exit, which are the
+    # parent's workers; BaseProcess._bootstrap empties it in every process
+    # that multiprocessing starts
+    multiprocessing.process._children = set()
+
+
 @contextlib.contextmanager
 def _worker_pool(workers: int) -> Iterator[Executor]:
     """This process's pool of at least `workers` forked worker processes,
     held for one sweep.
 
     Made on first use, and again with more workers when a sweep needs them,
-    once no sweep runs on the old one; shut down at interpreter exit, so no
-    worker outlives it.  Every worker is forked before the pool is handed
-    out, so before the sweep starts a thread, and sees the caller's modules
-    as they were then.
+    once no sweep runs on the old one, or after a worker died; shut down at
+    interpreter exit, so no worker outlives it.  Every worker is forked
+    before the pool is handed out, so before the sweep starts a thread, and
+    sees the caller's modules as they were then.  A sweep that finds a
+    worker dead raises BrokenProcessPool and drops the pool, which takes no
+    more tasks, so the next sweep forks a new one.  A child forked from
+    this process forgets the pool (`_forget_pool`), hooked at the first
+    pool rather than at import: a hook pins its module, and the benchmark
+    imports the package afresh for each set-up.
     """
-    global _pool, _pool_users
+    global _pool, _pool_users, _fork_hooked
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     with _pool_state:
-        if _pool is not None and _pool[0] != os.getpid():
-            # a forked child's copy of its parent's pool: waiting on it would
-            # hang, and shutting it down is the parent's
-            atexit.unregister(_pool[2].shutdown)
-            _pool, _pool_users = None, 0
-        while _pool is not None and _pool[1] < workers and _pool_users:
+        while _pool is not None and _pool[0] < workers and _pool_users:
             _pool_state.wait()
-        if _pool is None or _pool[1] < workers:
-            import multiprocessing
-            from concurrent.futures.process import ProcessPoolExecutor
+        if _pool is None or _pool[0] < workers:
             if _pool is not None:
-                atexit.unregister(_pool[2].shutdown)
-                _pool[2].shutdown()
+                atexit.unregister(_pool[1].shutdown)
+                _pool[1].shutdown()
+            if not _fork_hooked:
+                os.register_at_fork(after_in_child=_forget_pool)
+                _fork_hooked = True
             pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
             atexit.register(pool.shutdown)
             pool.submit(int).result()   # with fork, the first task forks every worker
-            _pool = (os.getpid(), workers, pool)
+            _pool = (workers, pool)
         _pool_users += 1
-        pool = _pool[2]
+        pool = _pool[1]
     try:
         yield pool
+    except BrokenProcessPool:
+        with _pool_state:
+            if _pool is not None and _pool[1] is pool:
+                atexit.unregister(pool.shutdown)
+                pool.shutdown(wait=False)
+                _pool = None
+        raise
     finally:
         with _pool_state:
             _pool_users -= 1

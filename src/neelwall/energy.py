@@ -66,22 +66,31 @@ def energy(p: Profile) -> EnergyBreakdown:
 class ExpansionWork:
     """Work arrays of `LocalExpansion` on one grid, reusable across iterates.
 
-    Each name in ROWS is one row of a single block of n_samples columns:
-    the expansion's cos, sin, u, lam and diag, then three scratch vectors.
-    real (n_points) and spectrum (n_points/2 + 1, complex) serve the
-    half-Laplacian's detrended samples and their transform.  One block
-    rather than a row per array: it is allocated and returned to the heap
-    as a unit.
+    Each name in ROWS is one row of n_samples columns: the expansion's cos,
+    sin, u, lam and diag, then three scratch vectors.  real (n_points) and
+    spectrum (n_points/2 + 1, complex) serve the half-Laplacian's detrended
+    samples and their transform.  All of them are cut, in that order, out
+    of one float64 `buffer` of floats(n_points) entries, which is allocated
+    here when none is given (minimize passes a slice of its solve's block):
+    one block rather than an array each, so it is allocated and returned to
+    the heap as a unit.
     """
 
     ROWS = ("cos", "sin", "u", "lam", "diag", "tmp0", "tmp1", "tmp2")
 
-    def __init__(self, n_points: int):
-        block = np.empty((len(self.ROWS), n_points + 1))
-        for name, row in zip(self.ROWS, block):
+    @classmethod
+    def floats(cls, n_points: int) -> int:
+        """The buffer length: the rows, real and spectrum's 2 (n_points/2 + 1) floats."""
+        return len(cls.ROWS) * (n_points + 1) + n_points + 2 * (n_points // 2 + 1)
+
+    def __init__(self, n_points: int, buffer: np.ndarray | None = None):
+        if buffer is None:
+            buffer = np.empty(self.floats(n_points))
+        end = len(self.ROWS) * (n_points + 1)
+        for name, row in zip(self.ROWS, buffer[:end].reshape(len(self.ROWS), n_points + 1)):
             setattr(self, name, row)
-        self.real = np.empty(n_points)
-        self.spectrum = np.empty(n_points // 2 + 1, dtype=complex)
+        self.real = buffer[end:end + n_points]
+        self.spectrum = buffer[end + n_points:].view(complex)
 
 
 class LocalExpansion:

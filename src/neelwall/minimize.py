@@ -143,31 +143,45 @@ class SolveResult:
 
 
 class _SolveWork:
-    """Every work array of one solve.
+    """Every work array of one solve, in one allocation.
 
-    ROWS are the rows of one block of n_points/2 + 1 columns, the right
-    half: the half-line expansion's rows (ExpansionWork's), the gradient g,
-    the CG vectors p, r, d, z and hd, the line-search trial and the iterate
-    v.  `full` is an ExpansionWork of the whole grid: a transform fills its
-    real (or tmp0) from a right half, into spectrum and tmp1, and its tmp2
-    holds the mirrored iterate whose whole-line expansion judges the stop.
-    fold counts the copies of each right-half sample in one period of the
-    even extension, 1, 2, ..., 2, 1, and trapezoid = spacing * fold is the
-    folded trapezoid rule.  minimize builds one per call, so concurrent
-    solves share nothing and the Newton loop allocates no grid-sized array.
+    ROWS are rows of n_points/2 + 1 columns, the right half: the half-line
+    expansion's rows (ExpansionWork's), the gradient g, the CG vectors p, r,
+    d, z and hd, the line-search trial and the iterate v.  fold and
+    trapezoid follow them: fold counts the copies of each right-half sample
+    in one period of the even extension, 1, 2, ..., 2, 1, and trapezoid =
+    spacing * fold is the folded trapezoid rule.  The rest of the block is
+    `full`, an ExpansionWork of the whole grid: a transform fills its real
+    (or tmp0) from a right half, into spectrum and tmp1, and its tmp2 holds
+    the mirrored iterate whose whole-line expansion judges the stop.
+    minimize builds one per call, so concurrent solves share nothing and the
+    Newton loop allocates no grid-sized array.
+
+    One block (2.5 MB at N = 16384) rather than several: glibc raises its
+    mmap threshold to the size of a freed mapped chunk and its trim
+    threshold to twice that, so after the first solve the block is taken
+    from the heap and, freed, stays there for the next solve, which
+    page-faults none of it in.  Split into blocks, the arrays freed at the
+    heap top can exceed twice the largest block and go back to the kernel
+    after every solve: 2.36 MB against a trim threshold of 2.1 MB at
+    N = 16384, 608 minor faults per solve.  From N = 2^18 the block exceeds
+    glibc's 32 MiB ceiling on the mmap threshold and is mapped, and faulted
+    in, anew on every solve.
     """
 
     ROWS = ExpansionWork.ROWS + ("g", "p", "r", "d", "z", "hd", "trial", "v")
 
     def __init__(self, grid: Grid1D):
         n_half = grid.center_index + 1
-        block = np.empty((len(self.ROWS), n_half))
-        for name, row in zip(self.ROWS, block):
+        end = (len(self.ROWS) + 2) * n_half
+        block = np.empty(end + ExpansionWork.floats(grid.n_points))
+        *rows, self.fold, self.trapezoid = block[:end].reshape(len(self.ROWS) + 2, n_half)
+        for name, row in zip(self.ROWS, rows):
             setattr(self, name, row)
-        self.full = ExpansionWork(grid.n_points)
-        self.fold = np.full(n_half, 2.0)
+        self.full = ExpansionWork(grid.n_points, block[end:])
+        self.fold.fill(2.0)
         self.fold[0] = self.fold[-1] = 1.0
-        self.trapezoid = grid.spacing * self.fold
+        np.multiply(grid.spacing, self.fold, out=self.trapezoid)
 
 
 def _even_period(half: np.ndarray, period: np.ndarray) -> np.ndarray:

@@ -6,10 +6,12 @@ import multiprocessing
 import os
 import re
 import runpy
+import signal
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -311,9 +313,9 @@ class TestSweep:
         finally:
             sys.setswitchinterval(interval)
             if analysis._pool is not None:
-                analysis._pool[2].shutdown()   # made here; monkeypatch restores the old one
+                analysis._pool[1].shutdown()   # made here; monkeypatch restores the old one
         assert tables == expected
-        assert analysis._pool[1] == 3 and analysis._pool_users == 0
+        assert analysis._pool[0] == 3 and analysis._pool_users == 0
 
     def test_sweeps_in_child_processes(self):
         # a child forked after a sweep makes its own pool, where it would
@@ -326,6 +328,43 @@ class TestSweep:
                              capture_output=True, text=True, timeout=120)
         assert (out.returncode, out.stderr) == (0, "")
         assert out.stdout.split() == ["forked", "0", "pool", "True", "executor", "True"]
+
+    @pytest.mark.parametrize("child_sweeps", [False, True], ids=["exits", "sweeps"])
+    def test_child_forked_after_a_sweep_exits_cleanly(self, child_sweeps):
+        # the child's exit handlers neither join nor shut down its parent's
+        # workers, which multiprocessing lists as its own children
+        root = Path(__file__).resolve().parents[1]
+        command = [sys.executable, "-W", "error", str(root / "scripts" / "fork_after_sweep.py")]
+        out = subprocess.run(command + ["--child-sweeps"] * child_sweeps,
+                             env={**os.environ, "PYTHONPATH": str(root / "src")},
+                             capture_output=True, text=True, timeout=120)
+        assert (out.returncode, out.stderr) == (0, "")
+
+    def test_sweep_after_a_worker_died_forks_a_new_pool(self, monkeypatch):
+        # the sweep that meets the dead worker raises, and drops the pool
+        # for the next sweep to fork a new one
+        monkeypatch.setattr(analysis, "_pool", None)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+        cells, kwargs = ([0.5, 1.0], [0.0, 0.2]), dict(half_length=20.0, n_points=256)
+        expected = nw.sweep(*cells, parallel=False, **kwargs)
+        nw.sweep(*cells, **kwargs)
+        broken = analysis._pool[1]
+        workers, manager = list(broken._processes.values()), broken._executor_manager_thread
+        os.kill(workers[0].pid, signal.SIGKILL)
+        # the pool's manager thread marks it broken, ends the other workers and joins them all
+        manager.join(timeout=60)
+        assert not manager.is_alive()
+        try:
+            with pytest.raises(BrokenProcessPool):
+                nw.sweep(*cells, **kwargs)
+            assert analysis._pool is None and analysis._pool_users == 0
+            assert nw.sweep(*cells, **kwargs) == expected
+        finally:
+            if analysis._pool is not None:
+                analysis._pool[1].shutdown()   # made here; monkeypatch restores the old one
+        assert analysis._pool[1] is not broken and analysis._pool_users == 0
+        assert all(w.exitcode is not None for w in workers)
+        assert not set(workers) & set(multiprocessing.active_children())
 
     def test_sweep_script_leaves_no_process_behind(self):
         # an unguarded script, warnings as errors: its workers are forked,
@@ -357,7 +396,7 @@ class TestSweep:
 
 
 _CHILD_SWEEPS = """
-import multiprocessing, os, signal
+import multiprocessing, os, signal, sys
 from concurrent.futures import ProcessPoolExecutor
 import neelwall as nw
 
@@ -368,11 +407,8 @@ want = table()
 pid = os.fork()
 if pid == 0:
     signal.alarm(60)
-    # os._exit: a normal exit would have multiprocessing join the parent's
-    # workers, which are no children of this process
-    same = table() == want
-    nw.analysis._pool[2].shutdown()
-    os._exit(0 if same else 1)
+    # a normal exit shuts down the child's own pool and leaves the parent's alone
+    sys.exit(0 if table() == want else 1)
 print("forked", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 fork = multiprocessing.get_context("fork")
 with fork.Pool(1) as pool:

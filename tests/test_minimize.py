@@ -1,6 +1,10 @@
 import dataclasses
+import os
 import pickle
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -633,6 +637,43 @@ class TestPrecondition:
         discrete_k2 = 4.0 / grid.spacing ** 2 * np.sin(np.pi * 2 * m_half / (2 * grid.n_points)) ** 2
         assert symbol[m_half] == pytest.approx(discrete_k2 + params.nu / 2 * c2 * k + c2,
                                                rel=1e-14)
+
+
+class TestSolveWork:
+    def test_every_work_array_views_one_allocation(self):
+        # a solve's arrays, and a bare ExpansionWork's, each fill one block
+        # that nothing else shares, without overlapping
+        grid = nw.make_grid(20.0, 512)
+        work, bare = _SolveWork(grid), ExpansionWork(grid.n_points)
+        whole = [getattr(work.full, name) for name in ExpansionWork.ROWS]
+        for arrays in ([getattr(work, name) for name in _SolveWork.ROWS]
+                       + [work.fold, work.trapezoid] + whole
+                       + [work.full.real, work.full.spectrum],
+                       [getattr(bare, name) for name in ExpansionWork.ROWS]
+                       + [bare.real, bare.spectrum]):
+            block = arrays[0].base
+            assert block.flags.owndata and all(a.base is block for a in arrays)
+            assert sum(a.nbytes for a in arrays) == block.nbytes
+            for i, a in enumerate(arrays):
+                assert not any(np.shares_memory(a, b) for b in arrays[:i])
+        assert work.full.spectrum.size == grid.n_points // 2 + 1
+        assert all(row.size == grid.n_samples for row in whole)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc's trim threshold")
+    def test_a_solve_after_two_takes_no_page_faults(self):
+        # a fresh process, whose heap no earlier test has shaped: the block
+        # freed by one solve stays on the heap for the next
+        code = ("import resource, neelwall as nw\n"
+                "for _ in range(2): nw.solve_cell(1.0, 0.0, None, 40.0, 16384)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "nw.solve_cell(1.0, 0.0, None, 40.0, 16384)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={**os.environ, "PYTHONPATH": str(src)},
+                             capture_output=True, text=True, timeout=120)
+        assert out.stderr == ""
+        assert int(out.stdout) <= 16
 
 
 class TestRecenter:
