@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import atexit
-import contextlib
 import math
 import os
 import sys
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -158,9 +157,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool_state = threading.Condition()
-_pool = None      # (size, executor): the worker processes
-_pool_users = 0   # sweeps running on a pool; _pool grows only when none is
+_pool_lock = threading.Lock()
+_pool = None   # this process's ProcessPoolExecutor of forked workers
 _fork_hooked = False   # whether forked children run _forget_pool
 
 
@@ -183,65 +181,43 @@ def _forget_pool():
     and workers are not the child's to use, join or shut down, so the
     child's first sweep makes its own pool (waiting on the parent's would
     hang) and its exit leaves the parent's workers alone."""
-    global _pool, _pool_users
+    global _pool
     import multiprocessing.process
     if _pool is not None:
-        atexit.unregister(_pool[1].shutdown)
-    _pool, _pool_users = None, 0
+        atexit.unregister(_pool.shutdown)
+    _pool = None
     # private: the processes multiprocessing joins at exit, which are the
     # parent's workers; BaseProcess._bootstrap empties it in every process
     # that multiprocessing starts
     multiprocessing.process._children = set()
 
 
-@contextlib.contextmanager
-def _worker_pool(workers: int) -> Iterator[Executor]:
-    """This process's pool of at least `workers` forked worker processes,
-    held for one sweep.
+def _worker_pool() -> Executor:
+    """This process's pool of forked worker processes, one per usable CPU.
 
-    Made on first use, and again with more workers when a sweep needs them,
-    once no sweep runs on the old one, or after a worker died; shut down at
-    interpreter exit, so no worker outlives it.  Every worker is forked
-    before the pool is handed out, so before the sweep starts a thread, and
-    sees the caller's modules as they were then.  A sweep that finds a
-    worker dead raises BrokenProcessPool and drops the pool, which takes no
-    more tasks, so the next sweep forks a new one.  A child forked from
-    this process forgets the pool (`_forget_pool`), hooked at the first
-    pool rather than at import: a hook pins its module, and the benchmark
+    Made at the first parallel sweep, never resized or replaced while it
+    works, and shut down at interpreter exit, so no worker outlives it.
+    Every worker is forked before the pool is handed out, so before the
+    sweep starts a thread, and sees the caller's modules as they were then.
+    A sweep that finds a worker dead drops the pool, which takes no more
+    tasks, so the next sweep forks a new one.  A child forked from this
+    process forgets the pool (`_forget_pool`), hooked at the first pool
+    rather than at import: a hook pins its module, and the benchmark
     imports the package afresh for each set-up.
     """
-    global _pool, _pool_users, _fork_hooked
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    with _pool_state:
-        while _pool is not None and _pool[0] < workers and _pool_users:
-            _pool_state.wait()
-        if _pool is None or _pool[0] < workers:
-            if _pool is not None:
-                atexit.unregister(_pool[1].shutdown)
-                _pool[1].shutdown()
+    global _pool, _fork_hooked
+    with _pool_lock:
+        if _pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             if not _fork_hooked:
                 os.register_at_fork(after_in_child=_forget_pool)
                 _fork_hooked = True
-            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+            pool = ProcessPoolExecutor(_usable_cpus(), multiprocessing.get_context("fork"))
             atexit.register(pool.shutdown)
             pool.submit(int).result()   # with fork, the first task forks every worker
-            _pool = (workers, pool)
-        _pool_users += 1
-        pool = _pool[1]
-    try:
-        yield pool
-    except BrokenProcessPool:
-        with _pool_state:
-            if _pool is not None and _pool[1] is pool:
-                atexit.unregister(pool.shutdown)
-                pool.shutdown(wait=False)
-                _pool = None
-        raise
-    finally:
-        with _pool_state:
-            _pool_users -= 1
-            _pool_state.notify_all()
+            _pool = pool
+        return _pool
 
 
 def sweep(nu_values: Sequence[float], h_values: Sequence[float],
@@ -254,19 +230,23 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
 
     With `parallel` set, at least two cells and two CPUs this process may
     use, and where `_forks_workers`, cells run on `_worker_pool`'s forked
-    processes, one per CPU at most: caller threads, two per worker, each
-    hand a cell's `solve_cell` to the pool and build its row from the
-    returned solve.  Otherwise the cells run one after another in the
-    calling thread.  The solves are pure and a worker's SolveResult pickles
-    bit for bit, so both give identical rows.  A converged row's amplitudes
-    are those of verify(result).decay.  A row records a cell that did not
-    converge or whose wall fails the decay preconditions (NaN width and
-    amplitudes); any other exception of a cell propagates.
+    processes, one per CPU, of which the sweep keeps min(cells, CPUs)
+    busy: caller threads, two per busy worker, each hand a cell's
+    `solve_cell` to the pool and build its row from the returned solve.
+    Otherwise the cells run one after another in the calling thread.  The
+    solves are pure and a worker's SolveResult pickles bit for bit, so both
+    give identical rows.  A converged row's amplitudes are those of
+    verify(result).decay.  A row records a cell that did not converge or
+    whose wall fails the decay preconditions (NaN width and amplitudes);
+    any other exception of a cell propagates.
 
     Raises:
         ValueError: an invalid grid or one with half_length < 2, or a (nu, h)
             cell that ModelParams rejects.
+        BrokenProcessPool: a worker died during the sweep; the pool is
+            dropped, so the next parallel sweep forks a new one.
     """
+    global _pool
     check_transition_fits(make_grid(half_length, n_points))   # ValueError if invalid
     cells = [(nu, h) for nu in sorted(nu_values) for h in sorted(h_values)]
     for nu, h in cells:
@@ -274,7 +254,15 @@ def sweep(nu_values: Sequence[float], h_values: Sequence[float],
     workers = min(len(cells), _usable_cpus()) if parallel else 1
     if workers < 2 or not _forks_workers():
         return [_row_for(nu, h, opts, half_length, n_points) for nu, h in cells]
-    with (_worker_pool(workers) as pool,
-          ThreadPoolExecutor(max_workers=min(len(cells), 2 * workers)) as threads):
-        return list(threads.map(
-            lambda c: _row_for(c[0], c[1], opts, half_length, n_points, pool), cells))
+    from concurrent.futures.process import BrokenProcessPool
+    pool = _worker_pool()
+    try:
+        with ThreadPoolExecutor(max_workers=min(len(cells), 2 * workers)) as threads:
+            return list(threads.map(
+                lambda c: _row_for(c[0], c[1], opts, half_length, n_points, pool), cells))
+    except BrokenProcessPool:   # a worker died: the pool takes no more tasks
+        with _pool_lock:
+            if _pool is pool:
+                _pool = None
+        pool.shutdown(wait=False)
+        raise

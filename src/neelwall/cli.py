@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:   # MemoryError: a grid too large
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:   # a quadrature that did not converge

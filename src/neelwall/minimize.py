@@ -280,9 +280,10 @@ def _newton_direction(g, expansion, symbol):
     Stops when the residual falls below the forcing tolerance or the
     gradient's rounding floor, whichever is larger, at the iteration cap,
     or on a direction of negative curvature: then the current iterate is
-    returned, or the preconditioned gradient step if there is none yet.  The grid spacing and the work arrays are the
-    expansion's (its work is the solve's `_SolveWork`); the result is the
-    right half of an odd descent direction, held in one of those arrays.
+    returned, or the preconditioned gradient step if there is none yet.
+    The grid spacing and the work arrays are the expansion's (its work is
+    the solve's `_SolveWork`); the result is the right half of an odd
+    descent direction, held in one of those arrays.
     """
     spacing, work = expansion.grid.spacing, expansion.work
     p, r, d, z, hd, tmp = work.p, work.r, work.d, work.z, work.hd, work.tmp0

@@ -296,26 +296,30 @@ class TestSweep:
             assert (other.energy, other.residual_sup, other.iterations, other.converged) \
                 == (result.energy, result.residual_sup, result.iterations, result.converged)
 
-    def test_concurrent_sweeps_share_and_grow_the_pool(self, monkeypatch):
-        # the three-cell sweeps need a larger pool than the two-cell ones
-        # run on; it replaces theirs only once none runs on it
+    def test_concurrent_sweeps_share_one_pool(self, monkeypatch):
+        # two- and three-cell sweeps at once, on the one pool the first
+        # parallel sweep made, which none of them resizes or replaces
         monkeypatch.setattr(analysis, "_pool", None)
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 3)
+        before = set(multiprocessing.active_children())   # an earlier pool's workers
         kwargs = dict(half_length=20.0, n_points=256)
         cases = [([0.5, 1.0], [0.0]), ([0.5, 1.0, 2.0], [0.0])] * 4
         expected = [nw.sweep(*case, parallel=False, **kwargs) for case in cases]
         nw.sweep(*cases[0], **kwargs)
+        pool = analysis._pool
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(len(cases)) as threads:
                 tables = list(threads.map(lambda case: nw.sweep(*case, **kwargs), cases))
+            assert analysis._pool is pool
+            assert set(multiprocessing.active_children()) - before \
+                <= set(pool._processes.values())
         finally:
             sys.setswitchinterval(interval)
             if analysis._pool is not None:
-                analysis._pool[1].shutdown()   # made here; monkeypatch restores the old one
+                analysis._pool.shutdown()   # made here; monkeypatch restores the old one
         assert tables == expected
-        assert analysis._pool[0] == 3 and analysis._pool_users == 0
 
     def test_sweeps_in_child_processes(self):
         # a child forked after a sweep makes its own pool, where it would
@@ -348,7 +352,7 @@ class TestSweep:
         cells, kwargs = ([0.5, 1.0], [0.0, 0.2]), dict(half_length=20.0, n_points=256)
         expected = nw.sweep(*cells, parallel=False, **kwargs)
         nw.sweep(*cells, **kwargs)
-        broken = analysis._pool[1]
+        broken = analysis._pool
         workers, manager = list(broken._processes.values()), broken._executor_manager_thread
         os.kill(workers[0].pid, signal.SIGKILL)
         # the pool's manager thread marks it broken, ends the other workers and joins them all
@@ -357,36 +361,38 @@ class TestSweep:
         try:
             with pytest.raises(BrokenProcessPool):
                 nw.sweep(*cells, **kwargs)
-            assert analysis._pool is None and analysis._pool_users == 0
+            assert analysis._pool is None
             assert nw.sweep(*cells, **kwargs) == expected
         finally:
             if analysis._pool is not None:
-                analysis._pool[1].shutdown()   # made here; monkeypatch restores the old one
-        assert analysis._pool[1] is not broken and analysis._pool_users == 0
+                analysis._pool.shutdown()   # made here; monkeypatch restores the old one
+        assert analysis._pool is not broken
         assert all(w.exitcode is not None for w in workers)
         assert not set(workers) & set(multiprocessing.active_children())
 
     def test_sweep_script_leaves_no_process_behind(self):
-        # an unguarded script, warnings as errors: its workers are forked,
-        # so nothing re-runs it, and they are gone when it exits
+        # unguarded scripts, warnings as errors: their workers are forked,
+        # so nothing re-runs them, and they are gone when they exit, also
+        # after a dead worker broke the first pool and a sweep forked a second
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
-        code = ("import neelwall as nw; "
-                "nw.sweep([0.5, 1], [0, 0.2], half_length=20, n_points=256)")
-        command = [sys.executable, "-W", "error", "-c", code]
-        out = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0
-        assert out.stderr == ""
-        # a surviving worker would keep the output pipes open, and run() waiting;
-        # its command line is its parent's
-        proc = Path("/proc")
-        if proc.is_dir():
-            cmdline = "\0".join(command).encode() + b"\0"
-            for path in proc.glob("[0-9]*/cmdline"):
-                try:
-                    assert path.read_bytes() != cmdline, path
-                except OSError:   # gone in between
-                    pass
+        for code in ("import neelwall as nw; "
+                     "nw.sweep([0.5, 1], [0, 0.2], half_length=20, n_points=256)",
+                     _SWEEP_AFTER_A_DEAD_WORKER):
+            command = [sys.executable, "-W", "error", "-c", code]
+            out = subprocess.run(command, env=env, capture_output=True, text=True,
+                                 timeout=120)
+            assert (out.returncode, out.stderr) == (0, "")
+            # a surviving worker would keep the output pipes open, and run()
+            # waiting; its command line is its parent's
+            proc = Path("/proc")
+            if proc.is_dir():
+                cmdline = "\0".join(command).encode() + b"\0"
+                for path in proc.glob("[0-9]*/cmdline"):
+                    try:
+                        assert path.read_bytes() != cmdline, path
+                    except OSError:   # gone in between
+                        pass
         bare = subprocess.run(
             [sys.executable, "-c", "import sys, neelwall; "
              "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
@@ -415,6 +421,29 @@ with fork.Pool(1) as pool:
     print("pool", pool.apply_async(table).get(timeout=60) == want)
 with ProcessPoolExecutor(1, fork) as executor:
     print("executor", executor.submit(table).result(timeout=60) == want)
+"""
+
+_SWEEP_AFTER_A_DEAD_WORKER = """
+import os, signal
+from concurrent.futures.process import BrokenProcessPool
+import neelwall as nw
+from neelwall import analysis
+
+def table():
+    return nw.sweep([0.5, 1], [0, 0.2], half_length=20, n_points=256)
+
+table()
+pool = analysis._pool
+manager = pool._executor_manager_thread
+os.kill(next(iter(pool._processes)), signal.SIGKILL)
+manager.join(timeout=60)
+try:
+    table()
+except BrokenProcessPool:
+    pass
+else:
+    raise SystemExit("the sweep after a dead worker did not raise")
+table()
 """
 
 
@@ -932,11 +961,15 @@ class TestCli:
         assert "stored result is not converged" in capsys.readouterr().out
 
     def test_short_domain_exit_code(self, capsys):
-        for command in (["solve", "--nu", "1"],
-                        ["sweep", "--nu-list", "1", "--h-list", "0"]):
-            code = main(command + ["--half-length", "1.5", "--points", "64"])
-            assert code == 1
-            assert "half_length must be >= 2" in capsys.readouterr().err
+        # 2**44 points need 128 TiB, more than a 47-bit address space holds:
+        # numpy refuses them without touching memory, whatever the overcommit
+        for grid, message in ((["--half-length", "1.5", "--points", "64"],
+                               "half_length must be >= 2"),
+                              (["--points", str(2**44)], "error: Unable to allocate")):
+            for command in (["solve", "--nu", "1"],
+                            ["sweep", "--nu-list", "1", "--h-list", "0"]):
+                assert main(command + grid) == 1
+                assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_invalid_tol_exit_code(self, small_solve, tmp_path, capsys, tol):
